@@ -5,6 +5,10 @@ flags; flags always win. Exit codes: 0 success, 2 validation failure,
 3 I/O failure, 4 numerical/estimation failure. Failures print a
 machine-readable JSON object to stderr. The KVM_SEED environment variable
 (comma-separated integers) overrides the built-in default seed list.
+
+Each option is declared once, as a row of its command in `_COMMANDS`; the
+parser, the help text, the defaults, the typing of config values and the
+required checks all come from those rows.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import EXPECTED, EstimationError, ValidationError, json_value, parse_file
 from .eviction import (
     BUDGET_MODES,
     allocate_head_budgets,
@@ -42,32 +47,74 @@ from .scorers import METHODS, ScorerSpec, compute_scores
 from .synth import (
     SCENARIO_KINDS,
     Scenario,
-    gen_cluster_mixture,
-    gen_collision_scenario,
-    gen_radial_failure,
-    gen_subspace_scenario,
     load_sidecar,
+    regenerate,
     save_sidecar,
 )
 from .tensor import KeyTensor, load_kvt, save_kvt
 
-COMMANDS = (
-    "score",
-    "compress",
-    "gen",
-    "dilution",
-    "ablation",
-    "dim-estimate",
-    "collision-demo",
-    "separation",
-    "compare",
-    "ttest",
+
+@dataclass
+class Option:
+    """One command-line option, declared once.
+
+    Its config key is the flag without dashes (inner dashes as underscores);
+    `dest` names its value in RunConfig.options and defaults to that key.
+    `type` is str, int, float, bool (a store_true switch) or a list of one of
+    the first three, written on the command line comma-separated. `choices`
+    constrain the value, or each element of a list.
+    """
+
+    flag: str
+    type: object = str
+    default: object = None
+    help: str = ""
+    required: bool = False
+    choices: tuple = ()
+    dest: str = ""
+
+    def __post_init__(self):
+        self.key = self.flag[2:].replace("-", "_")
+        self.dest = self.dest or self.key
+
+
+class _Command(NamedTuple):
+    summary: str
+    options: tuple
+    handler: Callable
+
+
+def _command(handler: Callable, summary: str, *options: Option) -> _Command:
+    config = Option("--config", help="JSON config file; explicit flags override its values")
+    return _Command(summary, (config, *options), handler)
+
+
+def _method(**kwargs) -> Option:
+    return Option("--method", help=f"scoring method, one of: {', '.join(METHODS)}",
+                  choices=METHODS, **kwargs)
+
+
+def _scorer_options(obs_window=None) -> tuple:
+    return (
+        Option("--window", int, help="window size in tokens (windowed method)"),
+        Option("--lambda", float, dest="hybrid_lambda",
+               help="mixing weight in [0, 1] (hybrid method)"),
+        Option("--obs-window", int, obs_window,
+               help="number of trailing queries to observe (obs_attention method)"),
+        Option("--queries", help="KVT1 query tensor (obs_attention method)"),
+    )
+
+
+_OUT = Option("--out", required=True, help="output report path")
+_FORMAT = Option("--format", default="csv", choices=("csv", "json"),
+                 help="report format: csv or json")
+# the options every sweep ends with
+_SWEEP = (
+    Option("--seeds", list[int], ",".join(map(str, DEFAULT_SEEDS)), help="seed list"),
+    Option("--jobs", int, 1, help="parallel sweep workers"),
+    _OUT,
+    _FORMAT,
 )
-
-_JSON_ALIASES = {"lambda": "hybrid_lambda"}
-
-# Filled while the parser is built: command -> {dest: default}.
-_DEFAULTS: dict = {}
 
 
 @dataclass
@@ -85,31 +132,6 @@ def _fmt(prog):
     return argparse.HelpFormatter(prog, width=96)
 
 
-def _seed_list_default() -> list:
-    env = os.environ.get("KVM_SEED")
-    if not env:
-        return list(DEFAULT_SEEDS)
-    return _int_list(env, "KVM_SEED")
-
-
-def _int_list(value, name: str) -> list:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    try:
-        return [int(tok) for tok in str(value).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ValidationError(f"{name}: expected comma-separated integers, got {value!r}") from exc
-
-
-def _float_list(value, name: str) -> list:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    try:
-        return [float(tok) for tok in str(value).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ValidationError(f"{name}: expected comma-separated numbers, got {value!r}") from exc
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="kvgeom",
@@ -118,305 +140,116 @@ def build_parser() -> _Parser:
         formatter_class=_fmt,
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def command(name, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text, formatter_class=_fmt)
-        defaults = {}
-        _DEFAULTS[name] = defaults
-
-        def opt(flag, *, dest=None, default=None, required=False, help="", **kwargs):
-            d = dest or flag.lstrip("-").replace("-", "_")
-            if required:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.summary, description=command.summary,
+                           formatter_class=_fmt)
+        for o in command.options:
+            if o.required:
                 note = " (required)"
-            elif default is not None:
-                note = f" (default: {default})"
+            elif o.default is not None:
+                note = f" (default: {o.default})"
             else:
                 note = ""
-            p.add_argument(flag, dest=d, default=None, help=help + note, **kwargs)
-            defaults[d] = default
-            return d
-
-        opt("--config", help="JSON config file; explicit flags override its values")
-        return p, opt
-
-    scorer_help = {
-        "method": f"scoring method, one of: {', '.join(METHODS)}",
-        "window": "window size in tokens (windowed method)",
-        "lambda": "mixing weight in [0, 1] (hybrid method)",
-        "obs_window": "number of trailing queries to observe (obs_attention method)",
-    }
-
-    def scorer_opts(opt, default_method=None):
-        opt("--method", default=default_method, required=default_method is None,
-            help=scorer_help["method"])
-        opt("--window", type=int, help=scorer_help["window"])
-        opt("--lambda", dest="hybrid_lambda", type=float, metavar="LAMBDA",
-            help=scorer_help["lambda"])
-        opt("--obs-window", type=int, help=scorer_help["obs_window"])
-        opt("--queries", help="KVT1 query tensor (obs_attention method)")
-
-    # score
-    p, opt = command("score", "Score a KVT1 key tensor and write per-token scores as CSV.")
-    opt("--input", required=True, help="KVT1 key tensor to score")
-    scorer_opts(opt)
-    opt("--out", required=True, help="output CSV (columns batch,head,token,score)")
-    opt("--out-kvt", help="also write scores as a KVT1 tensor with head_dim=1")
-
-    # compress
-    p, opt = command("compress", "Score, evict, and write the compressed cache.")
-    opt("--keys", required=True, help="KVT1 key tensor")
-    opt("--values", required=True, help="KVT1 value tensor")
-    scorer_opts(opt, default_method="manifold")
-    opt("--rho", type=float, default=0.2, help="compression ratio in [0, 1)")
-    opt("--mode", default="uniform", help=f"budget allocation, one of: {', '.join(BUDGET_MODES)}")
-    opt("--out-keys", required=True, help="compressed keys (KVT1)")
-    opt("--out-values", required=True, help="compressed values (KVT1)")
-    opt("--out-mask", required=True, help="validity mask sidecar (JSON)")
-    opt("--out-retained", help="retained-index rows (JSON)")
-
-    # gen
-    p, opt = command("gen", "Generate a synthetic scenario: keys (KVT1) plus a JSON sidecar.")
-    opt("--kind", help=f"scenario kind, one of: {', '.join(SCENARIO_KINDS)}")
-    opt("--from-sidecar", help="regenerate from an existing sidecar instead of --kind")
-    opt("--n", type=int, default=1024, help="token count")
-    opt("--d", type=int, default=64, help="head dimension")
-    opt("--seed", type=int, default=0, help="scenario seed")
-    opt("--k", type=int, default=9, help="subspace dimension (subspace kind)")
-    opt("--sigma", type=float, default=1.0, help="in-plane spread (subspace kind)")
-    opt("--n-out", type=int, default=8, help="needle count (subspace kind)")
-    opt("--epsilon", type=float,
-        help="outlier offset / jitter; defaults to 10.0 for subspace, 0.1 otherwise")
-    opt("--strict-separation", action="store_true",
-        help="shrink the common cloud until epsilon > 3 * diam (subspace kind)")
-    opt("--center-scale", type=float, default=10.0,
-        help="cloud center offset in sigmas (subspace kind)")
-    opt("--alpha", type=float, default=100.0, help="outlier magnitude (radial kind)")
-    opt("--k-clusters", type=int, default=4, help="cluster count (clusters kind)")
-    opt("--spread", type=float, default=1.0, help="cluster radius (clusters kind)")
-    opt("--separation", type=float, default=10.0, help="cluster center radius (clusters kind)")
-    opt("--shuffle", action="store_true", help="interleave cluster layout (clusters kind)")
-    opt("--magnitudes", default="2,5,10", help="needle magnitudes (collision kind)")
-    opt("--out-keys", required=True, help="output keys (KVT1)")
-    opt("--out-meta", required=True, help="output sidecar (JSON)")
-
-    # dilution
-    p, opt = command("dilution", "Sweep cluster diversity: global vs windowed retention.")
-    opt("--k-grid", default="1,4,16,32", help="cluster counts to sweep")
-    opt("--n", type=int, default=16384, help="token count")
-    opt("--d", type=int, default=128, help="head dimension")
-    opt("--rho", type=float, default=0.25, help="compression ratio in [0, 1)")
-    opt("--window", type=int, help="window size in tokens; defaults to n / K per grid point")
-    opt("--spread", type=float, default=1.0, help="cluster radius")
-    opt("--separation", type=float, default=10.0, help="cluster center radius")
-    opt("--seeds", default=",".join(map(str, DEFAULT_SEEDS)), help="seed list")
-    opt("--jobs", type=int, default=1, help="parallel sweep workers")
-    opt("--out", required=True, help="output report path")
-    opt("--format", default="csv", help="report format: csv or json")
-
-    # ablation
-    p, opt = command("ablation", "Sweep window sizes on a cluster mixture.")
-    opt("--w-grid", help="window sizes to sweep; defaults to C/2,C,2C,4C,n for C = n/K")
-    opt("--n", type=int, default=8192, help="token count")
-    opt("--d", type=int, default=128, help="head dimension")
-    opt("--k-clusters", type=int, default=16, help="cluster count")
-    opt("--rho", type=float, default=0.25, help="compression ratio in [0, 1)")
-    opt("--spread", type=float, default=1.0, help="cluster radius")
-    opt("--separation", type=float, default=10.0, help="cluster center radius")
-    opt("--seeds", default=",".join(map(str, DEFAULT_SEEDS)), help="seed list")
-    opt("--jobs", type=int, default=1, help="parallel sweep workers")
-    opt("--out", required=True, help="output report path")
-    opt("--format", default="csv", help="report format: csv or json")
-
-    # dim-estimate
-    p, opt = command("dim-estimate", "Estimate intrinsic dimension of a KVT1 key tensor.")
-    opt("--input", required=True, help="KVT1 key tensor")
-    opt("--pooled", action="store_true",
-        help="pool all (batch, head) slices into one point cloud instead of per-head reports")
-    opt("--threshold", type=float, default=0.95, help="PCA explained-variance threshold")
-    opt("--k-neighbors", type=int, default=10, help="neighbor count for the MLE estimator")
-    opt("--out", required=True, help="output report path")
-    opt("--format", default="csv", help="report format: csv or json")
-
-    # collision-demo
-    p, opt = command("collision-demo",
-                     "Plant same-direction needles of different magnitudes and compare scorers.")
-    opt("--magnitudes", default="2,5,10", help="needle magnitudes")
-    opt("--epsilon", type=float, default=0.1, help="angular jitter of common tokens")
-    opt("--n", type=int, default=256, help="token count")
-    opt("--d", type=int, default=8, help="head dimension")
-    opt("--rho", type=float, default=0.5, help="compression ratio in [0, 1)")
-    opt("--seed", type=int, default=0, help="scenario seed")
-    opt("--out", help="optional report path")
-    opt("--format", default="csv", help="report format: csv or json")
-
-    # separation
-    p, opt = command("separation", "Retention at budget M = n_out across sample sizes.")
-    opt("--k", type=int, default=9, help="subspace dimension")
-    opt("--d", type=int, default=128, help="head dimension")
-    opt("--sigma", type=float, default=1.0, help="in-plane spread")
-    opt("--epsilon", type=float, default=1.0, help="outlier offset")
-    opt("--n-grid", default="512,1024,2048,4096", help="sample sizes to sweep")
-    opt("--n-out", type=int, default=16, help="needle count and retention budget")
-    opt("--kind", default="subspace", help="scenario flavor: subspace or radial")
-    opt("--alpha", type=float, default=100.0, help="outlier magnitude (radial kind)")
-    scorer_opts(opt, default_method="manifold")
-    opt("--seeds", default=",".join(map(str, DEFAULT_SEEDS)), help="seed list")
-    opt("--jobs", type=int, default=1, help="parallel sweep workers")
-    opt("--out", required=True, help="output report path")
-    opt("--format", default="csv", help="report format: csv or json")
-
-    # compare
-    p, opt = command("compare", "Pairwise score agreement and per-method retention.")
-    opt("--input", help="KVT1 key tensor to compare on")
-    opt("--sidecar", help="scenario sidecar to regenerate and compare on")
-    opt("--methods", default="manifold,keydiff", help="comma-separated scoring methods")
-    opt("--window", type=int, help=scorer_help["window"])
-    opt("--lambda", dest="hybrid_lambda", type=float, metavar="LAMBDA",
-            help=scorer_help["lambda"])
-    opt("--obs-window", type=int, default=16, help=scorer_help["obs_window"])
-    opt("--queries", help="KVT1 query tensor (obs_attention method)")
-    opt("--rho", type=float, default=0.2, help="compression ratio in [0, 1)")
-    opt("--out", required=True, help="output report path")
-    opt("--format", default="csv", help="report format: csv or json")
-
-    # ttest
-    p, opt = command("ttest", "Paired two-sided t-test between two report columns.")
-    opt("--a", required=True, help="first CSV file")
-    opt("--b", required=True, help="second CSV file")
-    opt("--col", default="score", help="numeric column name (used when a file has several)")
-    opt("--out", help="optional report path")
-    opt("--format", default="csv", help="report format: csv or json")
-
+            # values stay text here; parse_config converts flag, config and default alike
+            action = "store_true" if o.type is bool else "store"
+            p.add_argument(o.flag, dest=o.key, default=None, action=action, help=o.help + note)
     return parser
 
 
-def _load_json_config(path) -> dict:
+def _from_text(kind, text: str, name: str):
+    """The command-line converter: `text` as a value of `kind`, lists comma-separated."""
+    element = get_args(kind)[0] if get_origin(kind) is list else None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+        if element is None:
+            return kind(text)
+        return [element(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValidationError(f"{name}: expected {EXPECTED[kind]}, got {text!r}") from None
+
+
+def _coerce(o: Option, value):
+    """A default, config or flag value as the option's type.
+
+    The value must have the option's own JSON type, or be a string that goes
+    through the same converter as the command-line flag into that type;
+    anything else, null included, is a ValidationError naming the option.
+    """
+    name = f"{o.flag} (config key {o.key!r})"
+    if isinstance(value, str) and o.type is not bool:
+        value = _from_text(o.type, value, name)
+    value = json_value(o.type, value, name)
+    for v in value if isinstance(value, list) else [value]:
+        if o.choices and v not in o.choices:
+            raise ValidationError(f"{o.flag} must be one of {', '.join(o.choices)}, got {v!r}")
+    return value
+
+
+def _load_json_config(path, command: str, table: dict) -> dict:
+    obj = parse_file(path, json.loads, "JSON")
     if not isinstance(obj, dict):
         raise ValidationError(f"config root must be an object, got {type(obj).__name__}")
-    return {_JSON_ALIASES.get(k, k): v for k, v in obj.items()}
+    unknown = set(obj) - set(table)
+    if unknown:
+        raise ValidationError(
+            f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}"
+        )
+    return obj
 
 
 def parse_config(argv) -> RunConfig:
-    """argv -> validated RunConfig. Precedence: flags > JSON config > defaults."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    """argv -> validated RunConfig. Precedence: flags > JSON config > KVM_SEED > defaults."""
+    ns = build_parser().parse_args(argv)
     if ns.command is None:
         raise ValidationError("no command given; see --help")
     command = ns.command
-    flag_values = {k: v for k, v in vars(ns).items() if k != "command" and v is not None}
+    table = {o.key: o for o in _COMMANDS[command].options}
+    sources = [{key: o.default for key, o in table.items() if o.default is not None}]
+    env = os.environ.get("KVM_SEED")
+    if env and ("seeds" in table or "seed" in table):
+        seeds = _from_text(list[int], env, "KVM_SEED")
+        if not seeds:
+            raise ValidationError(f"KVM_SEED must list at least one seed, got {env!r}")
+        sources.append({"seeds": seeds} if "seeds" in table else {"seed": seeds[0]})
+    if ns.config is not None:
+        sources.append(_load_json_config(ns.config, command, table))
+    sources.append({k: v for k, v in vars(ns).items() if k in table and v is not None})
 
-    options = dict(_DEFAULTS[command])
-    if "seeds" in options:
-        options["seeds"] = ",".join(map(str, _seed_list_default()))
-    elif "seed" in options and os.environ.get("KVM_SEED"):
-        options["seed"] = _seed_list_default()[0]
-
-    config_path = flag_values.pop("config", None)
-    if config_path is not None:
-        loaded = _load_json_config(config_path)
-        unknown = set(loaded) - set(options)
-        if unknown:
-            raise ValidationError(
-                f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}"
-            )
-        options.update(loaded)
-    options.update(flag_values)
+    # every value of every source is checked, also one a later source overrides
+    options = {o.dest: None for o in table.values()}
+    for source in sources:
+        for key, value in source.items():
+            options[table[key].dest] = _coerce(table[key], value)
+    for o in table.values():
+        if o.required and options[o.dest] is None:
+            raise ValidationError(f"{command}: {o.flag} is required")
     _validate(command, options)
     return RunConfig(command=command, options=options)
 
 
-def _require(opts, command, *names):
-    for name in names:
-        if opts.get(name) is None:
-            raise ValidationError(f"{command}: --{name.replace('_', '-')} is required")
-
-
-def _check_choice(opts, name, choices):
-    if opts.get(name) is not None and opts[name] not in choices:
-        raise ValidationError(
-            f"--{name.replace('_', '-')} must be one of {', '.join(choices)}, got {opts[name]!r}"
-        )
-
-
-def _check_rho(opts):
-    rho = opts.get("rho")
-    if rho is not None and not 0.0 <= float(rho) < 1.0:
-        raise ValidationError(f"--rho must be in [0, 1), got {rho}")
-    if rho is not None:
-        opts["rho"] = float(rho)
-
-
 def _validate(command: str, opts: dict) -> None:
-    required = {
-        "score": ("input", "method", "out"),
-        "compress": ("keys", "values", "out_keys", "out_values", "out_mask"),
-        "gen": ("out_keys", "out_meta"),
-        "dilution": ("out",),
-        "ablation": ("out",),
-        "dim-estimate": ("input", "out"),
-        "collision-demo": (),
-        "separation": ("out",),
-        "compare": ("out",),
-        "ttest": ("a", "b"),
-    }
-    _require(opts, command, *required[command])
-    _check_choice(opts, "format", ("csv", "json"))
-    _check_rho(opts)
-    if "seeds" in opts:
-        opts["seeds"] = _int_list(opts["seeds"], "--seeds")
-        if not opts["seeds"]:
-            raise ValidationError("--seeds must list at least one seed")
-    if "jobs" in opts and int(opts["jobs"]) < 1:
+    """Checks the option table does not state: value ranges and rules across options."""
+    if opts.get("rho") is not None and not 0.0 <= opts["rho"] < 1.0:
+        raise ValidationError(f"--rho must be in [0, 1), got {opts['rho']}")
+    if opts.get("seeds") == []:
+        raise ValidationError("--seeds must list at least one seed")
+    if opts.get("jobs", 1) < 1:
         raise ValidationError(f"--jobs must be >= 1, got {opts['jobs']}")
-
-    if command in ("score", "compress", "separation"):
-        _check_choice(opts, "method", METHODS)
-    if command == "compress":
-        _check_choice(opts, "mode", BUDGET_MODES)
-    if command == "gen":
-        if opts.get("from_sidecar") is None and opts.get("kind") is None:
-            raise ValidationError("gen: either --kind or --from-sidecar is required")
-        _check_choice(opts, "kind", SCENARIO_KINDS)
-        opts["magnitudes"] = _float_list(opts["magnitudes"], "--magnitudes")
-    if command == "dilution":
-        opts["k_grid"] = _int_list(opts["k_grid"], "--k-grid")
-    if command == "ablation" and opts.get("w_grid") is not None:
-        opts["w_grid"] = _int_list(opts["w_grid"], "--w-grid")
-    if command == "separation":
-        opts["n_grid"] = _int_list(opts["n_grid"], "--n-grid")
-        _check_choice(opts, "kind", ("subspace", "radial"))
-    if command == "collision-demo":
-        opts["magnitudes"] = _float_list(opts["magnitudes"], "--magnitudes")
+    if command == "gen" and opts["from_sidecar"] is None and opts["kind"] is None:
+        raise ValidationError("gen: either --kind or --from-sidecar is required")
     if command == "compare":
-        if opts.get("input") is None and opts.get("sidecar") is None:
+        if opts["input"] is None and opts["sidecar"] is None:
             raise ValidationError("compare: either --input or --sidecar is required")
-        methods = [m.strip() for m in str(opts["methods"]).split(",") if m.strip()]
-        if len(methods) < 2:
+        if len(opts["methods"]) < 2:
             raise ValidationError("compare: --methods needs at least two methods")
-        for m in methods:
-            if m not in METHODS:
-                raise ValidationError(f"--methods: unknown method {m!r}")
-        opts["methods"] = methods
 
 
 def _scorer_spec(opts) -> ScorerSpec:
     method = opts["method"]
-    if method == "windowed" and opts.get("window") is None:
-        raise ValidationError("--method windowed requires --window")
-    if method == "hybrid" and opts.get("hybrid_lambda") is None:
-        raise ValidationError("--method hybrid requires --lambda")
-    if method == "obs_attention" and opts.get("obs_window") is None:
-        raise ValidationError("--method obs_attention requires --obs-window")
     return ScorerSpec(
         method=method,
-        window_size=opts.get("window") if method == "windowed" else None,
-        hybrid_lambda=opts.get("hybrid_lambda") if method == "hybrid" else None,
-        obs_window=opts.get("obs_window") if method == "obs_attention" else None,
+        window_size=opts["window"] if method == "windowed" else None,
+        hybrid_lambda=opts["hybrid_lambda"] if method == "hybrid" else None,
+        obs_window=opts["obs_window"] if method == "obs_attention" else None,
     )
 
 
@@ -475,34 +308,14 @@ def _cmd_compress(opts) -> int:
 
 
 def _gen_scenario(opts) -> Scenario:
-    if opts.get("from_sidecar"):
+    if opts["from_sidecar"]:
         return load_sidecar(opts["from_sidecar"])
-    kind = opts["kind"]
-    epsilon = opts.get("epsilon")
+    epsilon = opts["epsilon"]
     if epsilon is None:
-        epsilon = 10.0 if kind == "subspace" else 0.1
-    if kind == "subspace":
-        return gen_subspace_scenario(
-            n=opts["n"], d=opts["d"], k=opts["k"], sigma=opts["sigma"],
-            n_out=opts["n_out"], epsilon=epsilon, seed=opts["seed"],
-            strict_separation=bool(opts.get("strict_separation")),
-            center_scale=opts["center_scale"],
-        )
-    if kind == "radial":
-        return gen_radial_failure(
-            alpha=opts["alpha"], epsilon=epsilon, n=opts["n"], d=opts["d"],
-            seed=opts["seed"],
-        )
-    if kind == "clusters":
-        return gen_cluster_mixture(
-            n=opts["n"], d=opts["d"], k_clusters=opts["k_clusters"],
-            spread=opts["spread"], separation=opts["separation"],
-            seed=opts["seed"], shuffle=bool(opts.get("shuffle")),
-        )
-    return gen_collision_scenario(
-        magnitudes=opts["magnitudes"], epsilon=epsilon, n=opts["n"], d=opts["d"],
-        seed=opts["seed"],
-    )
+        epsilon = 10.0 if opts["kind"] == "subspace" else 0.1
+    switches = {"strict_separation": bool(opts["strict_separation"]),
+                "shuffle": bool(opts["shuffle"])}
+    return regenerate(opts["kind"], {**opts, **switches, "epsilon": epsilon})
 
 
 def _cmd_gen(opts) -> int:
@@ -581,10 +394,7 @@ def _cmd_dim_estimate(opts) -> int:
 
 
 def _cmd_collision_demo(opts) -> int:
-    scenario = gen_collision_scenario(
-        magnitudes=opts["magnitudes"], epsilon=opts["epsilon"], n=opts["n"],
-        d=opts["d"], seed=opts["seed"],
-    )
+    scenario = regenerate("collision", opts)
     rows = []
     for method in ("manifold", "keydiff"):
         result = run_retention(scenario, ScorerSpec(method), opts["rho"])
@@ -638,28 +448,26 @@ def _cmd_compare(opts) -> int:
     specs = []
     for method in opts["methods"]:
         specs.append(_scorer_spec({**opts, "method": method}))
-    queries = load_kvt(opts["queries"]) if opts.get("queries") else None
-    report = compare_methods(scenario, specs, opts["rho"], queries=queries)
+    report = compare_methods(scenario, specs, opts["rho"], queries=_load_queries(opts))
     report.write(opts["out"], opts["format"])
     print(f"compare: wrote {opts['out']} ({len(report.rows)} rows)")
     return 0
 
 
 def _read_csv_column(path, col: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        body = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(io.StringIO("".join(body)))
-    if reader.fieldnames is None:
-        raise ValidationError(f"{path}: empty CSV")
-    name = col if col in reader.fieldnames else (
-        reader.fieldnames[0] if len(reader.fieldnames) == 1 else None
-    )
-    if name is None:
-        raise ValidationError(f"{path}: column {col!r} not found in {reader.fieldnames}")
-    try:
+    def column(text: str) -> list:
+        body = [line for line in io.StringIO(text) if not line.startswith("#")]
+        reader = csv.DictReader(body, restval="")
+        if reader.fieldnames is None:
+            raise ValidationError("empty CSV")
+        name = col if col in reader.fieldnames else (
+            reader.fieldnames[0] if len(reader.fieldnames) == 1 else None
+        )
+        if name is None:
+            raise ValidationError(f"column {col!r} not found in {reader.fieldnames}")
         return [float(row[name]) for row in reader]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: non-numeric value in column {name!r}") from exc
+
+    return parse_file(path, column, "CSV")
 
 
 def _cmd_ttest(opts) -> int:
@@ -687,23 +495,157 @@ def _cmd_ttest(opts) -> int:
     return 0
 
 
-_HANDLERS = {
-    "score": _cmd_score,
-    "compress": _cmd_compress,
-    "gen": _cmd_gen,
-    "dilution": _cmd_dilution,
-    "ablation": _cmd_ablation,
-    "dim-estimate": _cmd_dim_estimate,
-    "collision-demo": _cmd_collision_demo,
-    "separation": _cmd_separation,
-    "compare": _cmd_compare,
-    "ttest": _cmd_ttest,
+# command -> (summary, options, handler); the parser, its help, _DEFAULTS,
+# config coercion and the required checks are all derived from this table.
+_COMMANDS = {
+    "score": _command(
+        _cmd_score,
+        "Score a KVT1 key tensor and write per-token scores as CSV.",
+        Option("--input", required=True, help="KVT1 key tensor to score"),
+        _method(required=True),
+        *_scorer_options(),
+        Option("--out", required=True, help="output CSV (columns batch,head,token,score)"),
+        Option("--out-kvt", help="also write scores as a KVT1 tensor with head_dim=1"),
+    ),
+    "compress": _command(
+        _cmd_compress,
+        "Score, evict, and write the compressed cache.",
+        Option("--keys", required=True, help="KVT1 key tensor"),
+        Option("--values", required=True, help="KVT1 value tensor"),
+        _method(default="manifold"),
+        *_scorer_options(),
+        Option("--rho", float, 0.2, help="compression ratio in [0, 1)"),
+        Option("--mode", default="uniform", choices=BUDGET_MODES,
+               help=f"budget allocation, one of: {', '.join(BUDGET_MODES)}"),
+        Option("--out-keys", required=True, help="compressed keys (KVT1)"),
+        Option("--out-values", required=True, help="compressed values (KVT1)"),
+        Option("--out-mask", required=True, help="validity mask sidecar (JSON)"),
+        Option("--out-retained", help="retained-index rows (JSON)"),
+    ),
+    "gen": _command(
+        _cmd_gen,
+        "Generate a synthetic scenario: keys (KVT1) plus a JSON sidecar.",
+        Option("--kind", choices=SCENARIO_KINDS,
+               help=f"scenario kind, one of: {', '.join(SCENARIO_KINDS)}"),
+        Option("--from-sidecar", help="regenerate from an existing sidecar instead of --kind"),
+        Option("--n", int, 1024, help="token count"),
+        Option("--d", int, 64, help="head dimension"),
+        Option("--seed", int, 0, help="scenario seed"),
+        Option("--k", int, 9, help="subspace dimension (subspace kind)"),
+        Option("--sigma", float, 1.0, help="in-plane spread (subspace kind)"),
+        Option("--n-out", int, 8, help="needle count (subspace kind)"),
+        Option("--epsilon", float,
+               help="outlier offset / jitter; defaults to 10.0 for subspace, 0.1 otherwise"),
+        Option("--strict-separation", bool,
+               help="shrink the common cloud until epsilon > 3 * diam (subspace kind)"),
+        Option("--center-scale", float, 10.0,
+               help="cloud center offset in sigmas (subspace kind)"),
+        Option("--alpha", float, 100.0, help="outlier magnitude (radial kind)"),
+        Option("--k-clusters", int, 4, help="cluster count (clusters kind)"),
+        Option("--spread", float, 1.0, help="cluster radius (clusters kind)"),
+        Option("--separation", float, 10.0, help="cluster center radius (clusters kind)"),
+        Option("--shuffle", bool, help="interleave cluster layout (clusters kind)"),
+        Option("--magnitudes", list[float], "2,5,10", help="needle magnitudes (collision kind)"),
+        Option("--out-keys", required=True, help="output keys (KVT1)"),
+        Option("--out-meta", required=True, help="output sidecar (JSON)"),
+    ),
+    "dilution": _command(
+        _cmd_dilution,
+        "Sweep cluster diversity: global vs windowed retention.",
+        Option("--k-grid", list[int], "1,4,16,32", help="cluster counts to sweep"),
+        Option("--n", int, 16384, help="token count"),
+        Option("--d", int, 128, help="head dimension"),
+        Option("--rho", float, 0.25, help="compression ratio in [0, 1)"),
+        Option("--window", int, help="window size in tokens; defaults to n / K per grid point"),
+        Option("--spread", float, 1.0, help="cluster radius"),
+        Option("--separation", float, 10.0, help="cluster center radius"),
+        *_SWEEP,
+    ),
+    "ablation": _command(
+        _cmd_ablation,
+        "Sweep window sizes on a cluster mixture.",
+        Option("--w-grid", list[int],
+               help="window sizes to sweep; defaults to C/2,C,2C,4C,n for C = n/K"),
+        Option("--n", int, 8192, help="token count"),
+        Option("--d", int, 128, help="head dimension"),
+        Option("--k-clusters", int, 16, help="cluster count"),
+        Option("--rho", float, 0.25, help="compression ratio in [0, 1)"),
+        Option("--spread", float, 1.0, help="cluster radius"),
+        Option("--separation", float, 10.0, help="cluster center radius"),
+        *_SWEEP,
+    ),
+    "dim-estimate": _command(
+        _cmd_dim_estimate,
+        "Estimate intrinsic dimension of a KVT1 key tensor.",
+        Option("--input", required=True, help="KVT1 key tensor"),
+        Option("--pooled", bool, help="pool all (batch, head) slices into one point cloud "
+               "instead of per-head reports"),
+        Option("--threshold", float, 0.95, help="PCA explained-variance threshold"),
+        Option("--k-neighbors", int, 10, help="neighbor count for the MLE estimator"),
+        _OUT,
+        _FORMAT,
+    ),
+    "collision-demo": _command(
+        _cmd_collision_demo,
+        "Plant same-direction needles of different magnitudes and compare scorers.",
+        Option("--magnitudes", list[float], "2,5,10", help="needle magnitudes"),
+        Option("--epsilon", float, 0.1, help="angular jitter of common tokens"),
+        Option("--n", int, 256, help="token count"),
+        Option("--d", int, 8, help="head dimension"),
+        Option("--rho", float, 0.5, help="compression ratio in [0, 1)"),
+        Option("--seed", int, 0, help="scenario seed"),
+        Option("--out", help="optional report path"),
+        _FORMAT,
+    ),
+    "separation": _command(
+        _cmd_separation,
+        "Retention at budget M = n_out across sample sizes.",
+        Option("--k", int, 9, help="subspace dimension"),
+        Option("--d", int, 128, help="head dimension"),
+        Option("--sigma", float, 1.0, help="in-plane spread"),
+        Option("--epsilon", float, 1.0, help="outlier offset"),
+        Option("--n-grid", list[int], "512,1024,2048,4096", help="sample sizes to sweep"),
+        Option("--n-out", int, 16, help="needle count and retention budget"),
+        Option("--kind", default="subspace", choices=("subspace", "radial"),
+               help="scenario flavor: subspace or radial"),
+        Option("--alpha", float, 100.0, help="outlier magnitude (radial kind)"),
+        _method(default="manifold"),
+        *_scorer_options(),
+        *_SWEEP,
+    ),
+    "compare": _command(
+        _cmd_compare,
+        "Pairwise score agreement and per-method retention.",
+        Option("--input", help="KVT1 key tensor to compare on"),
+        Option("--sidecar", help="scenario sidecar to regenerate and compare on"),
+        Option("--methods", list[str], "manifold,keydiff", choices=METHODS,
+               help="comma-separated scoring methods"),
+        *_scorer_options(obs_window=16),
+        Option("--rho", float, 0.2, help="compression ratio in [0, 1)"),
+        _OUT,
+        _FORMAT,
+    ),
+    "ttest": _command(
+        _cmd_ttest,
+        "Paired two-sided t-test between two report columns.",
+        Option("--a", required=True, help="first CSV file"),
+        Option("--b", required=True, help="second CSV file"),
+        Option("--col", default="score",
+               help="numeric column name (used when a file has several)"),
+        Option("--out", help="optional report path"),
+        _FORMAT,
+    ),
 }
+
+COMMANDS = tuple(_COMMANDS)
+
+# command -> {dest: default}
+_DEFAULTS = {name: {o.dest: o.default for o in c.options} for name, c in _COMMANDS.items()}
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated RunConfig; returns the process exit status."""
-    return _HANDLERS[config.command](config.options)
+    return _COMMANDS[config.command].handler(config.options)
 
 
 def _emit_error(code: int, exc: BaseException) -> int:

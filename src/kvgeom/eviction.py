@@ -84,19 +84,6 @@ class RetentionSet:
             for h in range(self.heads)
         ]
 
-    @classmethod
-    def from_json_obj(cls, rows, seq_len: int) -> "RetentionSet":
-        if not rows:
-            raise ValidationError("empty retention rows")
-        batch = max(r["batch"] for r in rows) + 1
-        heads = max(r["head"] for r in rows) + 1
-        grid = [[None] * heads for _ in range(batch)]
-        for r in rows:
-            grid[r["batch"]][r["head"]] = np.asarray(r["indices"], dtype=np.int64)
-        if any(cell is None for row in grid for cell in row):
-            raise ValidationError("retention rows do not cover the full (batch, head) grid")
-        return cls(batch=batch, heads=heads, seq_len=seq_len, indices=grid)
-
 
 def retention_from_scores(scores: ScoreTensor, budgets) -> RetentionSet:
     """Top-k retention per (batch, head); `budgets` is an int, a (batch, heads)

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ValidationError
 from .eviction import budget, retention_from_scores
@@ -349,6 +348,8 @@ def paired_ttest(a, b) -> TTestResult:
             return TTestResult(n, 0.0, 0.0, 0.0, 1.0, df, degenerate=True)
         return TTestResult(n, mean, 0.0, math.copysign(math.inf, mean), 0.0, df,
                            degenerate=True)
+    from scipy.special import betainc  # imported here: scipy is most of the package's import time
+
     t = mean / se
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TTestResult(n, mean, se, t, p, df)

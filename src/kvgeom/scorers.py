@@ -48,14 +48,14 @@ class ScorerSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for field_name, needed_by in (
-            ("window_size", "windowed"),
-            ("hybrid_lambda", "hybrid"),
-            ("obs_window", "obs_attention"),
+        for field_name, needed_by, flag in (
+            ("window_size", "windowed", "--window"),
+            ("hybrid_lambda", "hybrid", "--lambda"),
+            ("obs_window", "obs_attention", "--obs-window"),
         ):
             value = getattr(self, field_name)
             if self.method == needed_by and value is None:
-                raise ValidationError(f"method {needed_by!r} requires {field_name}")
+                raise ValidationError(f"method {needed_by!r} requires {field_name} ({flag})")
             if self.method != needed_by and value is not None:
                 raise ValidationError(f"{field_name} is only valid for method {needed_by!r}")
         if self.window_size is not None and self.window_size < 1:
@@ -83,21 +83,6 @@ class ScorerSpec:
         if self.obs_window is not None:
             out["obs_window"] = self.obs_window
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScorerSpec":
-        known = {"method", "window", "lambda", "obs_window"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown scorer fields: {sorted(unknown)}")
-        if "method" not in d:
-            raise ValidationError("scorer spec needs a 'method' field")
-        return cls(
-            method=d["method"],
-            window_size=d.get("window"),
-            hybrid_lambda=d.get("lambda"),
-            obs_window=d.get("obs_window"),
-        )
 
 
 def centroid(keys: np.ndarray) -> np.ndarray:

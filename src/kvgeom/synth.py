@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_value, parse_file
 from .tensor import KeyTensor
 
 SCENARIO_KINDS = ("subspace", "radial", "clusters", "collision")
@@ -40,6 +40,8 @@ class Scenario:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -380,29 +382,43 @@ def gen_queries(
     return KeyTensor(q.astype(np.float32)[None, None, :, :])
 
 
+# kind -> (generator, its argument names with the JSON type a sidecar must give each)
 _GENERATORS = {
     "subspace": (
         gen_subspace_scenario,
-        ("n", "d", "k", "sigma", "n_out", "epsilon", "seed", "strict_separation", "center_scale"),
+        {"n": int, "d": int, "k": int, "sigma": float, "n_out": int, "epsilon": float,
+         "seed": int, "strict_separation": bool, "center_scale": float},
     ),
-    "radial": (gen_radial_failure, ("alpha", "epsilon", "n", "d", "seed")),
+    "radial": (
+        gen_radial_failure,
+        {"alpha": float, "epsilon": float, "n": int, "d": int, "seed": int},
+    ),
     "clusters": (
         gen_cluster_mixture,
-        ("n", "d", "k_clusters", "spread", "separation", "seed", "shuffle"),
+        {"n": int, "d": int, "k_clusters": int, "spread": float, "separation": float,
+         "seed": int, "shuffle": bool},
     ),
-    "collision": (gen_collision_scenario, ("magnitudes", "epsilon", "n", "d", "seed")),
+    "collision": (
+        gen_collision_scenario,
+        {"magnitudes": list[float], "epsilon": float, "n": int, "d": int, "seed": int},
+    ),
 }
 
 
 def regenerate(kind: str, params: dict) -> Scenario:
-    """Rebuild a scenario from its kind and echoed input params."""
-    if kind not in _GENERATORS:
+    """Rebuild a scenario from its kind and echoed input params.
+
+    Each argument's value must have the JSON type listed in _GENERATORS.
+    """
+    if not isinstance(kind, str) or kind not in _GENERATORS:
         raise ValidationError(f"unknown scenario kind {kind!r}")
-    fn, arg_names = _GENERATORS[kind]
-    missing = [a for a in arg_names if a not in params]
+    fn, arg_types = _GENERATORS[kind]
+    missing = [a for a in arg_types if a not in params]
     if missing:
         raise ValidationError(f"scenario params missing {missing} for kind {kind!r}")
-    return fn(**{a: params[a] for a in arg_names})
+    return fn(**{
+        a: json_value(t, params[a], f"scenario param {a!r}") for a, t in arg_types.items()
+    })
 
 
 def save_sidecar(scenario: Scenario, path) -> None:
@@ -413,15 +429,16 @@ def save_sidecar(scenario: Scenario, path) -> None:
 
 def load_sidecar(path) -> Scenario:
     """Regenerate a scenario from its JSON sidecar alone."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed sidecar JSON: {exc}") from exc
+    obj = parse_file(path, json.loads, "sidecar JSON")
+    if not isinstance(obj, dict):
+        raise ValidationError(f"sidecar root must be an object, got {type(obj).__name__}")
     for key in ("kind", "params", "needles"):
         if key not in obj:
             raise ValidationError(f"sidecar missing {key!r}")
+    if not isinstance(obj["params"], dict):
+        raise ValidationError(f"sidecar params must be an object, got {obj['params']!r}")
+    needles = json_value(list[int], obj["needles"], "sidecar needles")
     scenario = regenerate(obj["kind"], obj["params"])
-    if list(scenario.needles) != [int(i) for i in obj["needles"]]:
+    if list(scenario.needles) != needles:
         raise ValidationError("sidecar needles do not match regenerated scenario")
     return scenario

@@ -1,15 +1,24 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvgeom import (
+    METHODS,
+    SCENARIO_KINDS,
     ScorerSpec,
     compute_scores,
+    gen_cluster_mixture,
+    gen_collision_scenario,
     gen_radial_failure,
+    gen_subspace_scenario,
     load_kvt,
     manifold_score,
     save_kvt,
@@ -105,6 +114,20 @@ class TestParseConfig:
         ])
         assert config.options["seeds"] == [1, 2, 3]
 
+    def test_json_values_typed_or_converted_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": "2", "window": "8", "k_grid": [1, 4], "spread": 1,
+                                   "seeds": "3, 4", "rho": "0.5"}))
+        opts = parse_config(["dilution", "--config", str(cfg), "--out", "o.csv"]).options
+        assert opts["jobs"] == 2 and opts["window"] == 8
+        assert opts["k_grid"] == [1, 4] and opts["seeds"] == [3, 4]
+        assert opts["spread"] == 1.0 and type(opts["spread"]) is float
+        assert opts["rho"] == 0.5
+
+
+GEN_OUT = ["--out-keys", "{tmp}/k.kvt", "--out-meta", "{tmp}/m.json"]
+REPORT_OUT = ["--out", "{tmp}/o.csv"]
+
 
 class TestValidationFailures:
     def test_unknown_flag_names_token(self, capsys):
@@ -163,6 +186,70 @@ class TestValidationFailures:
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv,files,seed_env", [
+        pytest.param(["dilution", "--config", "{tmp}/c.json", *REPORT_OUT],
+                     {"c.json": {"rho": "abc"}}, None, id="config-number-not-numeric"),
+        pytest.param(["dilution", "--config", "{tmp}/c.json", *REPORT_OUT],
+                     {"c.json": {"rho": None}}, None, id="config-null"),
+        pytest.param(["gen", "--kind", "radial", "--config", "{tmp}/c.json", *GEN_OUT],
+                     {"c.json": {"n": "abc"}}, None, id="config-int-not-numeric"),
+        pytest.param(["gen", "--kind", "radial", "--config", "{tmp}/c.json", *GEN_OUT],
+                     {"c.json": {"n": True}}, None, id="config-bool-for-int"),
+        pytest.param(["gen", "--kind", "radial", "--config", "{tmp}/c.json", *GEN_OUT],
+                     {"c.json": {"n": 64.5}}, None, id="config-float-for-int"),
+        pytest.param(["gen", "--kind", "subspace", "--config", "{tmp}/c.json", *GEN_OUT],
+                     {"c.json": {"strict_separation": "yes"}}, None, id="config-text-for-switch"),
+        pytest.param(["gen", "--kind", "collision", "--config", "{tmp}/c.json", *GEN_OUT],
+                     {"c.json": {"magnitudes": [2, "x"]}}, None, id="config-list-element"),
+        pytest.param(["gen", "--kind", "collision", "--config", "{tmp}/c.json", *GEN_OUT],
+                     {"c.json": {"kind": ["radial"]}}, None, id="config-list-for-string"),
+        pytest.param(["dilution", "--config", "{tmp}/bad", *REPORT_OUT], {"bad": b"\xff{}"}, None,
+                     id="config-not-utf8"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/bad", *GEN_OUT], {"bad": b"\xff{}"}, None,
+                     id="sidecar-not-utf8"),
+        pytest.param(["ttest", "--a", "{tmp}/bad", "--b", "{tmp}/bad"], {"bad": b"score\n\xff\n"},
+                     None, id="csv-not-utf8"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/s.json", *GEN_OUT],
+                     {"s.json": {"kind": "radial", "needles": [1], "params": {
+                         "alpha": 100.0, "epsilon": 0.1, "n": "64", "d": 8, "seed": 0}}},
+                     None, id="sidecar-param-text-for-int"),
+        pytest.param(["compare", "--sidecar", "{tmp}/s.json", *REPORT_OUT],
+                     {"s.json": {"kind": "clusters", "needles": [1], "params": {
+                         "n": 64, "d": 8, "k_clusters": 2, "spread": [1], "separation": 10.0,
+                         "seed": 0, "shuffle": False}}},
+                     None, id="sidecar-param-list-for-number"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/s.json", *GEN_OUT],
+                     {"s.json": {"kind": "radial", "needles": ["x"], "params": {
+                         "alpha": 100.0, "epsilon": 0.1, "n": 64, "d": 8, "seed": 0}}},
+                     None, id="sidecar-needles-not-ints"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/s.json", *GEN_OUT],
+                     {"s.json": {"kind": "radial", "needles": [1], "params": [64]}},
+                     None, id="sidecar-params-not-object"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/s.json", *GEN_OUT],
+                     {"s.json": {"kind": ["radial"], "needles": [1], "params": {}}},
+                     None, id="sidecar-kind-not-string"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/s.json", *GEN_OUT],
+                     {"s.json": "kind params needles"}, None, id="sidecar-root-not-object"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/s.json", *GEN_OUT],
+                     {"s.json": {"kind": "radial", "needles": [1], "params": {
+                         "alpha": 100.0, "epsilon": 0.1, "n": 64, "d": 8, "seed": -1}}},
+                     None, id="sidecar-negative-seed"),
+        pytest.param(["gen", "--kind", "radial", "--n", "32", "--d", "4", "--seed", "-1",
+                      *GEN_OUT], {}, None, id="gen-negative-seed"),
+        pytest.param(["dilution", "--n", "64", "--d", "8", "--k-grid", "1", "--seeds=-1",
+                      *REPORT_OUT], {}, None, id="sweep-negative-seed"),
+        pytest.param(["collision-demo", "--n", "32"], {}, "-1", id="env-negative-seed"),
+    ])
+    def test_malformed_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, files, seed_env):
+        for name, content in files.items():
+            raw = content if isinstance(content, bytes) else json.dumps(content).encode()
+            (tmp_path / name).write_bytes(raw)
+        if seed_env is not None:
+            monkeypatch.setenv("KVM_SEED", seed_env)
+        code, _, err = run_cli(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert code == 2
+        _assert_documented_exit(code, err)
 
 
 class TestScoreCommand:
@@ -448,3 +535,135 @@ class TestCsvDeterminism:
         assert run_cli(capsys, *args, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith("# tool_version=")
+
+
+# Numbers stay within |x| <= 64 and text never spells a larger one, so no
+# drawn config or sidecar can ask for a large allocation.
+SMALL_NUMBERS = st.integers(-64, 64) | st.floats(-64, 64) | st.sampled_from(
+    [math.nan, math.inf, -math.inf]
+)
+NAMES = st.sampled_from(METHODS + SCENARIO_KINDS + ("csv", "json", "uniform", "proportional"))
+JSON_SCALARS = (
+    st.none() | st.booleans() | SMALL_NUMBERS | NAMES
+    | SMALL_NUMBERS.map(str)
+    | st.lists(st.integers(-64, 64), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    | st.text(alphabet="abcdefiklmnorsuw_,. -", max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=2),
+    max_leaves=6,
+)
+# Values of the right shape for most options, so that many drawn inputs run.
+PLAUSIBLE = (
+    st.integers(1, 64) | st.floats(0, 0.9) | st.booleans() | NAMES
+    | st.lists(st.integers(1, 16), min_size=1, max_size=3)
+)
+# Config keys naming files the command writes: the test passes those as flags.
+OUTPUT_KEYS = {"config", "out", "out_kvt", "out_keys", "out_values", "out_mask",
+               "out_retained", "out_meta"}
+# Flags that pin each command's inputs and outputs.
+PINNED = {
+    "score": ["--input", "{keys}", "--out", "o.csv"],
+    "compress": ["--keys", "{keys}", "--values", "{keys}", "--out-keys", "k.kvt",
+                 "--out-values", "v.kvt", "--out-mask", "m.json"],
+    "gen": ["--out-keys", "k.kvt", "--out-meta", "m.json"],
+    "dilution": ["--out", "o.csv"],
+    "ablation": ["--out", "o.csv"],
+    "dim-estimate": ["--input", "{keys}", "--out", "o.csv"],
+    "collision-demo": [],
+    "separation": ["--out", "o.csv"],
+    "compare": ["--input", "{keys}", "--out", "o.csv"],
+    "ttest": ["--a", "{csv}", "--b", "{csv}"],
+}
+# Config values that keep each command's default sizes small; drawn keys override them.
+SMALL_SIZES = {"n": 48, "d": 8, "k_grid": [1, 2], "n_grid": [16, 32], "k": 2, "n_out": 2,
+               "k_clusters": 2, "seeds": [0]}
+SMALL_SCENARIOS = {
+    "subspace": gen_subspace_scenario(n=32, d=8, k=2, sigma=1.0, n_out=2, epsilon=8.0, seed=0),
+    "radial": gen_radial_failure(alpha=100.0, epsilon=0.1, n=32, d=8, seed=0),
+    "clusters": gen_cluster_mixture(n=32, d=8, k_clusters=2, spread=1.0, separation=10.0,
+                                    seed=0),
+    "collision": gen_collision_scenario(magnitudes=(2.0, 5.0), epsilon=0.1, n=32, d=8, seed=0),
+}
+
+
+def _config_keys(command):
+    parser = build_parser()
+    subs = [a for a in parser._actions if hasattr(a, "choices") and a.choices][0].choices
+    return sorted(a.dest for a in subs[command]._actions if a.dest != "help")
+
+
+def _main_in(workdir, argv):
+    """main(argv) run in `workdir`; (exit code, stderr)."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, err.getvalue()
+
+
+def _assert_documented_exit(code, err):
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["exit_code"] == code and isinstance(payload["message"], str)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-inputs")
+    save_kvt(random_tensor(3, batch=1, heads=2, seq=24, dim=4), root / "keys.kvt")
+    (root / "a.csv").write_text("score\n1.0\n2.5\n4.0\n")
+    return {"keys": str(root / "keys.kvt"), "csv": str(root / "a.csv")}
+
+
+class TestArbitraryInputs:
+    """Any JSON config or sidecar ends in a documented exit, never a traceback."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_arbitrary_json_config(self, tmp_path_factory, fuzz_inputs, command):
+        keys = [k for k in _config_keys(command) if k not in OUTPUT_KEYS]
+        sizes = {k: v for k, v in SMALL_SIZES.items() if k in keys}
+
+        @settings(max_examples=30, deadline=None)
+        @given(st.dictionaries(st.sampled_from(keys), PLAUSIBLE | JSON_VALUES, max_size=3))
+        def check(drawn):
+            workdir = tmp_path_factory.mktemp("fuzz")
+            cfg = workdir / "cfg.json"
+            cfg.write_text(json.dumps({**sizes, **drawn}))
+            argv = [command, "--config", str(cfg)]
+            argv += [a.format(**fuzz_inputs) for a in PINNED[command]]
+            _assert_documented_exit(*_main_in(workdir, argv))
+
+        check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(SMALL_SCENARIOS)),
+        st.none() | JSON_VALUES,
+        st.dictionaries(st.sampled_from(["n", "d", "k", "sigma", "n_out", "epsilon", "seed",
+                                         "strict_separation", "center_scale", "alpha",
+                                         "k_clusters", "spread", "separation", "shuffle",
+                                         "magnitudes"]),
+                        PLAUSIBLE | JSON_VALUES, max_size=2),
+        st.none() | JSON_VALUES,
+    )
+    def test_arbitrary_sidecar(self, tmp_path_factory, kind, kind_override, params, needles):
+        base = SMALL_SCENARIOS[kind].sidecar_obj()
+        obj = {
+            "kind": kind if kind_override is None else kind_override,
+            "params": {**base["params"], **params},
+            "needles": base["needles"] if needles is None else needles,
+        }
+        workdir = tmp_path_factory.mktemp("fuzz")
+        (workdir / "s.json").write_text(json.dumps(obj))
+        argv = ["gen", "--from-sidecar", str(workdir / "s.json"), "--out-keys", "k.kvt",
+                "--out-meta", "m.json"]
+        _assert_documented_exit(*_main_in(workdir, argv))
