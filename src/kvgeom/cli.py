@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Configuration comes from a JSON file (--config) overridden by explicit
-flags; flags always win. Exit codes: 0 success, 2 validation failure,
-3 I/O failure, 4 numerical/estimation failure. Failures print a
+flags; flags always win. Exit codes: 0 success, 2 validation failure
+(a request too large for memory included), 3 I/O failure,
+4 numerical/estimation failure. Failures print a
 machine-readable JSON object to stderr. The KVM_SEED environment variable
 (comma-separated integers) overrides the built-in default seed list.
 
@@ -42,7 +43,7 @@ from .experiments import (
     window_ablation,
 )
 from .manifold import estimate_dimensions
-from .report import Report, config_hash
+from .report import Columns, Report, config_hash
 from .scorers import METHODS, ScorerSpec, compute_scores
 from .synth import (
     SCENARIO_KINDS,
@@ -266,9 +267,8 @@ def _cmd_score(opts) -> int:
     keys = load_kvt(opts["input"])
     spec = _scorer_spec(opts)
     scores = compute_scores(spec, keys, queries=_load_queries(opts))
-    rows = [
-        {"batch": b, "head": h, "token": t, "score": s} for b, h, t, s in scores.rows()
-    ]
+    batch, head, token = np.indices(scores.data.shape).reshape(3, -1)
+    rows = Columns(batch=batch, head=head, token=token, score=scores.data.ravel())
     params = {"input": opts["input"], "scorer": spec.to_dict()}
     report = Report(
         name="score",
@@ -659,7 +659,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
         return run(config)
-    except ValidationError as exc:
+    except (ValidationError, MemoryError) as exc:
         return _emit_error(2, exc)
     except OSError as exc:
         return _emit_error(3, exc)

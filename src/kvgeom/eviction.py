@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import KeyTensor, ScoreTensor
+from .tensor import KeyTensor, ScoreTensor, freeze
 
 BUDGET_MODES = ("uniform", "proportional")
 
@@ -144,7 +144,9 @@ def compress_cache(keys: KeyTensor, values: KeyTensor, retained: RetentionSet) -
             out_k[b, h, : len(idx)] = keys.data[b, h, idx]
             out_v[b, h, : len(idx)] = values.data[b, h, idx]
             mask[b, h, : len(idx)] = True
-    return CompressedCache(keys=KeyTensor(out_k), values=KeyTensor(out_v), mask=mask)
+    return CompressedCache(
+        keys=KeyTensor(freeze(out_k)), values=KeyTensor(freeze(out_v)), mask=mask
+    )
 
 
 @dataclass(frozen=True)

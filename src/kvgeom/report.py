@@ -44,10 +44,47 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _format_column(values) -> list:
+    """Every cell of one column as CSV text, as `_format_cell` formats it.
+
+    A numpy column of integers or floats is formatted in one pass (`str` of
+    each int, `repr` of each float); any other column cell by cell.
+    """
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind in ("i", "u"):
+        return list(map(str, values.tolist()))
+    if kind == "f":
+        return list(map(repr, values.astype(np.float64, copy=False).tolist()))
+    return [_format_cell(v) for v in values]
+
+
+class Columns:
+    """Report rows held as one array (or list) per column.
+
+    Reads as a sequence of row dicts, like the `rows` list it stands in for,
+    while the CSV writer takes each column whole.
+    """
+
+    def __init__(self, **columns):
+        if len({len(v) for v in columns.values()}) > 1:
+            raise ValueError("columns differ in length")
+        self.data = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.data.values()), ()))
+
+    def __getitem__(self, i: int) -> dict:
+        return {name: values[i] for name, values in self.data.items()}
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass
 class Report:
     """Rows of named numeric fields plus provenance metadata.
 
+    `rows` is a list of row dicts or, for large reports, `Columns`.
     Sweep reports set `group_by` to their grid column; JSON output then nests
     rows under one group entry per grid value (CSV stays flat, one row per
     job with seed-mean rows flagged in the `row` column).
@@ -55,17 +92,22 @@ class Report:
 
     name: str
     columns: list
-    rows: list = field(default_factory=list)
+    rows: list | Columns = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     group_by: str | None = None
+
+    def _column(self, name: str):
+        if isinstance(self.rows, Columns):
+            return self.rows.data.get(name, [""] * len(self.rows))
+        return [row.get(name, "") for row in self.rows]
 
     def to_csv_text(self) -> str:
         lines = [f"# tool_version={TOOL_VERSION}"]
         for key in sorted(self.metadata):
             lines.append(f"# {key}={_format_cell(self.metadata[key])}")
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_format_cell(row.get(c, "")) for c in self.columns))
+        cells = [_format_column(self._column(c)) for c in self.columns]
+        lines.extend(map(",".join, zip(*cells)))
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
@@ -75,7 +117,7 @@ class Report:
             "columns": self.columns,
         }
         if self.group_by is None:
-            obj["rows"] = self.rows
+            obj["rows"] = list(self.rows)
         else:
             keys = []
             for row in self.rows:

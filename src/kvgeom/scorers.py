@@ -14,7 +14,7 @@ import numpy as np
 
 from .attention import attention_weights
 from .errors import ValidationError
-from .tensor import KeyTensor, ScoreTensor
+from .tensor import KeyTensor, ScoreTensor, freeze
 
 # Guard for unit-normalizing degenerate (zero-norm) keys.
 NORM_EPS = 1e-12
@@ -110,10 +110,20 @@ def _centered_l2(block: np.ndarray) -> np.ndarray:
     return np.linalg.norm(block - mu, axis=3)
 
 
+def _slab_scores(t: KeyTensor, score_slab) -> ScoreTensor:
+    """Scores from `score_slab`, called on one (1, 1, seq, dim) float64 slab per
+    (batch, head), so that only one slab is held in float64 at a time."""
+    scores = np.empty(t.shape[:3], dtype=np.float64)
+    for b in range(t.batch):
+        for h in range(t.heads):
+            slab = t.data[b : b + 1, h : h + 1].astype(np.float64)
+            scores[b : b + 1, h : h + 1] = score_slab(slab)
+    return ScoreTensor(freeze(scores))
+
+
 def manifold_score(t: KeyTensor) -> ScoreTensor:
     """L2 distance of each key from its (batch, head) centroid."""
-    data = t.data.astype(np.float64)
-    return ScoreTensor(_centered_l2(data))
+    return _slab_scores(t, _centered_l2)
 
 
 def windowed_manifold_score(t: KeyTensor, window_size: int) -> ScoreTensor:
@@ -126,13 +136,16 @@ def windowed_manifold_score(t: KeyTensor, window_size: int) -> ScoreTensor:
     """
     if window_size < 1:
         raise ValidationError(f"window_size must be >= 1, got {window_size}")
-    data = t.data.astype(np.float64)
     n = t.seq_len
-    scores = np.empty(data.shape[:3], dtype=np.float64)
-    for start in range(0, n, window_size):
-        end = min(start + window_size, n)
-        scores[:, :, start:end] = _centered_l2(data[:, :, start:end, :])
-    return ScoreTensor(scores)
+
+    def windows(slab: np.ndarray) -> np.ndarray:
+        out = np.empty(slab.shape[:3], dtype=np.float64)
+        for start in range(0, n, window_size):
+            end = min(start + window_size, n)
+            out[:, :, start:end] = _centered_l2(slab[:, :, start:end, :])
+        return out
+
+    return _slab_scores(t, windows)
 
 
 def _guarded_norms(data: np.ndarray) -> np.ndarray:
@@ -152,13 +165,13 @@ def keydiff_score(t: KeyTensor) -> ScoreTensor:
     anchor = (data / norms).mean(axis=2, keepdims=True)
     anchor_norms = np.maximum(np.linalg.norm(anchor, axis=3, keepdims=True), NORM_EPS)
     cos = (data * anchor).sum(axis=3) / (norms * anchor_norms)[..., 0]
-    return ScoreTensor(1.0 - cos)
+    return ScoreTensor(freeze(1.0 - cos))
 
 
 def knorm_score(t: KeyTensor) -> ScoreTensor:
     """Plain L2 magnitude of each key."""
     data = t.data.astype(np.float64)
-    return ScoreTensor(np.linalg.norm(data, axis=3))
+    return ScoreTensor(freeze(np.linalg.norm(data, axis=3)))
 
 
 def lp_score(t: KeyTensor, p) -> ScoreTensor:
@@ -166,9 +179,9 @@ def lp_score(t: KeyTensor, p) -> ScoreTensor:
     data = t.data.astype(np.float64)
     dev = np.abs(data - data.mean(axis=2, keepdims=True))
     if p == 1:
-        return ScoreTensor(dev.sum(axis=3))
+        return ScoreTensor(freeze(dev.sum(axis=3)))
     if p in (np.inf, float("inf"), "inf"):
-        return ScoreTensor(dev.max(axis=3))
+        return ScoreTensor(freeze(dev.max(axis=3)))
     raise ValidationError(f"p must be 1 or inf, got {p!r}")
 
 
@@ -176,7 +189,7 @@ def normalized_manifold_score(t: KeyTensor) -> ScoreTensor:
     """L2 distance of unit-normalized keys from the mean of unit-normalized keys."""
     data = t.data.astype(np.float64)
     unit = data / _guarded_norms(data)
-    return ScoreTensor(_centered_l2(unit))
+    return ScoreTensor(freeze(_centered_l2(unit)))
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
@@ -194,7 +207,7 @@ def hybrid_score(t: KeyTensor, hybrid_lambda: float) -> ScoreTensor:
         raise ValidationError(f"hybrid_lambda must be in [0, 1], got {hybrid_lambda}")
     m = _minmax(manifold_score(t).data)
     k = _minmax(keydiff_score(t).data)
-    return ScoreTensor(hybrid_lambda * m + (1.0 - hybrid_lambda) * k)
+    return ScoreTensor(freeze(hybrid_lambda * m + (1.0 - hybrid_lambda) * k))
 
 
 def obs_attention_score(keys: KeyTensor, queries: KeyTensor, obs_window: int) -> ScoreTensor:
@@ -212,7 +225,7 @@ def obs_attention_score(keys: KeyTensor, queries: KeyTensor, obs_window: int) ->
         )
     tail = KeyTensor(queries.data[:, :, queries.seq_len - obs_window :, :])
     weights = attention_weights(tail, keys)
-    return ScoreTensor(weights.sum(axis=2))
+    return ScoreTensor(freeze(weights.sum(axis=2)))
 
 
 def compute_scores(

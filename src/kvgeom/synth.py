@@ -105,8 +105,28 @@ def _needle_positions(rng: np.random.Generator, count: int, n: int) -> np.ndarra
     return rng.permutation(np.arange(1, n - 1))[:count]
 
 
+def _check_size(n: int, d: int) -> None:
+    """Refuse, before any allocation, an n x d scenario whose float64 keys
+    alone exceed the machine's physical memory (where the platform reports it)."""
+    import os
+
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 8 * n * d
+    if need > have:
+        raise ValidationError(
+            f"an n={n} x d={d} scenario needs {need / 2**30:.3g} GiB of float64 keys, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _as_scenario(kind: str, keys: np.ndarray, needles, params: dict) -> Scenario:
-    tensor = KeyTensor(keys.astype(np.float32)[None, None, :, :])
+    # values beyond float32 range become inf here, which KeyTensor reports
+    with np.errstate(over="ignore"):
+        keys32 = keys.astype(np.float32)
+    tensor = KeyTensor(keys32[None, None, :, :])
     return Scenario(
         kind=kind,
         keys=tensor,
@@ -144,6 +164,7 @@ def gen_subspace_scenario(
         raise ValidationError(f"need 0 <= n_out < n, got n_out={n_out}, n={n}")
     if epsilon <= 0 or sigma <= 0:
         raise ValidationError("sigma and epsilon must be positive")
+    _check_size(n, d)
     rng = _rng(seed)
     basis, _ = np.linalg.qr(rng.normal(size=(d, k)))
     center = center_scale * sigma * basis[:, 0]
@@ -210,6 +231,7 @@ def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) 
         raise ValidationError(f"d must be >= 2, got {d}")
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    _check_size(n, d)
     rng = _rng(seed)
     axis = np.zeros(d)
     axis[0] = 1.0
@@ -255,6 +277,7 @@ def gen_cluster_mixture(
         raise ValidationError(f"n must be >= 4 * k_clusters, got n={n}, k={k_clusters}")
     if spread <= 0 or separation <= 0:
         raise ValidationError("spread and separation must be positive")
+    _check_size(n, d)
     rng = _rng(seed)
     dirs, _ = np.linalg.qr(rng.normal(size=(d, k_clusters)))
     dirs = dirs.T  # (K, d) orthonormal rows
@@ -322,6 +345,7 @@ def gen_collision_scenario(
         raise ValidationError(f"d must be >= 2, got {d}")
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    _check_size(n, d)
     rng = _rng(seed)
     direction = _unit(rng.normal(size=d))
     n_common = n - len(mags)

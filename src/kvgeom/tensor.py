@@ -20,11 +20,34 @@ MAGIC = b"KVT1"
 _HEADER = struct.Struct("<4sIIII")
 
 
-def _frozen_f32(data) -> np.ndarray:
-    # always copy so freezing never mutates caller-owned arrays
-    arr = np.array(data, dtype=np.float32, order="C")
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it, to hand it to a tensor.
+
+    For an array its caller has just made and keeps no other way to write,
+    such as the fresh result of an allocation or a ufunc: KeyTensor and
+    ScoreTensor then adopt it without a copy.
+    """
     arr.setflags(write=False)
     return arr
+
+
+def _adopt(data, dtype) -> np.ndarray:
+    """`data` as a read-only C-ordered array of `dtype`.
+
+    An array handed over with `freeze` (a plain ndarray that owns its
+    memory, is read-only, C-ordered and of `dtype`) is kept as it is.
+    Anything else is copied, so a caller's writeable array is never frozen
+    or aliased.
+    """
+    if (
+        type(data) is np.ndarray
+        and data.dtype == dtype
+        and data.flags.owndata
+        and not data.flags.writeable
+        and data.flags.c_contiguous
+    ):
+        return data
+    return freeze(np.array(data, dtype=dtype, order="C"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +62,7 @@ class KeyTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_f32(self.data)
+        arr = _adopt(self.data, np.float32)
         if arr.ndim != 4:
             raise ValidationError(f"expected 4 axes (batch, heads, seq, dim), got {arr.ndim}")
         if min(arr.shape) < 1:
@@ -85,14 +108,13 @@ class ScoreTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C")
+        arr = _adopt(self.data, np.float64)
         if arr.ndim != 3:
             raise ValidationError(f"expected 3 axes (batch, heads, seq), got {arr.ndim}")
         if min(arr.shape) < 1:
             raise ValidationError(f"all axes must be >= 1, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("score tensor contains NaN or Inf")
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -114,14 +136,6 @@ class ScoreTensor:
         """Repack as a KeyTensor with head_dim = 1 (for KVT1 serialization)."""
         return KeyTensor(self.data[..., None])
 
-    def rows(self):
-        """Yield (batch, head, token, score) rows in index order."""
-        b, h, s = self.data.shape
-        for bi in range(b):
-            for hi in range(h):
-                for ti in range(s):
-                    yield bi, hi, ti, float(self.data[bi, hi, ti])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreTensor):
             return NotImplemented
@@ -133,36 +147,43 @@ def save_kvt(t: KeyTensor, path) -> None:
     if not np.isfinite(t.data).all():
         raise ValidationError("refusing to write non-finite payload")
     header = _HEADER.pack(MAGIC, t.batch, t.heads, t.seq_len, t.head_dim)
-    payload = t.data.astype("<f4", copy=False).tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
 
 
 def load_kvt(path) -> KeyTensor:
     """Read a KVT1 file back into a KeyTensor.
 
     Raises ValidationError on bad magic, zero header dims, payload length
-    mismatch, or non-finite payload values.
+    mismatch, or non-finite payload values. The header is checked against
+    the file size before anything is allocated; the payload is then read
+    straight into the tensor's array, and KeyTensor checks it for finiteness.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValidationError(f"file too short for KVT1 header: {len(blob)} bytes")
-    magic, batch, heads, seq_len, head_dim = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ValidationError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    dims = (batch, heads, seq_len, head_dim)
-    if min(dims) < 1:
-        raise ValidationError(f"header dims must all be >= 1, got {dims}")
-    expected = batch * heads * seq_len * head_dim * 4
-    actual = len(blob) - _HEADER.size
-    if actual != expected:
-        raise ValidationError(f"payload length mismatch: expected {expected} bytes, got {actual}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-    if not np.isfinite(flat).all():
-        raise ValidationError("payload contains NaN or Inf")
-    return KeyTensor(flat.reshape(dims))
+        size = fh.seek(0, 2)  # offset of the end: the file size
+        fh.seek(0)
+        if size < _HEADER.size:
+            raise ValidationError(f"file too short for KVT1 header: {size} bytes")
+        magic, batch, heads, seq_len, head_dim = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise ValidationError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        dims = (batch, heads, seq_len, head_dim)
+        if min(dims) < 1:
+            raise ValidationError(f"header dims must all be >= 1, got {dims}")
+        expected = batch * heads * seq_len * head_dim * 4
+        actual = size - _HEADER.size
+        if actual != expected:
+            raise ValidationError(
+                f"payload length mismatch: expected {expected} bytes, got {actual}"
+            )
+        data = np.empty(dims, dtype="<f4")
+        got = fh.readinto(data)
+        if got != expected:  # the file shrank since its size was taken
+            raise ValidationError(
+                f"payload length mismatch: expected {expected} bytes, got {got}"
+            )
+    return KeyTensor(freeze(data))
 
 
 def slice_seq(t: KeyTensor, start: int, end: int) -> KeyTensor:

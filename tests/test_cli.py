@@ -4,6 +4,10 @@ import io
 import json
 import math
 import os
+import struct
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,7 @@ from kvgeom import (
     save_kvt,
     save_sidecar,
 )
+from kvgeom import cli
 from kvgeom.cli import COMMANDS, build_parser, main, parse_config
 
 from conftest import random_tensor
@@ -127,6 +132,8 @@ class TestParseConfig:
 
 GEN_OUT = ["--out-keys", "{tmp}/k.kvt", "--out-meta", "{tmp}/m.json"]
 REPORT_OUT = ["--out", "{tmp}/o.csv"]
+SCORE_BAD = ["score", "--input", "{tmp}/bad.kvt", "--method", "manifold", *REPORT_OUT]
+KVT_HEADER = struct.Struct("<4sIIII")
 
 
 class TestValidationFailures:
@@ -240,6 +247,26 @@ class TestValidationFailures:
         pytest.param(["dilution", "--n", "64", "--d", "8", "--k-grid", "1", "--seeds=-1",
                       *REPORT_OUT], {}, None, id="sweep-negative-seed"),
         pytest.param(["collision-demo", "--n", "32"], {}, "-1", id="env-negative-seed"),
+        # sizes beyond physical memory (10**14 tokens) from a flag, config, sidecar or sweep
+        pytest.param(["gen", "--kind", "radial", "--n", str(10**14), "--d", "4", *GEN_OUT], {},
+                     None, id="gen-size-beyond-memory"),
+        pytest.param(["gen", "--kind", "radial", "--config", "{tmp}/c.json", *GEN_OUT],
+                     {"c.json": {"n": 10**14, "d": 4}}, None, id="config-size-beyond-memory"),
+        pytest.param(["gen", "--from-sidecar", "{tmp}/s.json", *GEN_OUT],
+                     {"s.json": {"kind": "radial", "needles": [1], "params": {
+                         "alpha": 100.0, "epsilon": 0.1, "n": 10**14, "d": 4, "seed": 0}}},
+                     None, id="sidecar-size-beyond-memory"),
+        pytest.param(["dilution", "--n", str(10**14), "--k-grid", "1", "--seeds", "0",
+                      *REPORT_OUT], {}, None, id="sweep-size-beyond-memory"),
+        # KVT1 payloads: a header claiming 65535**4 values over 16 bytes, a truncated
+        # payload, a NaN
+        pytest.param(SCORE_BAD, {"bad.kvt": KVT_HEADER.pack(b"KVT1", *[65535] * 4) + bytes(16)},
+                     None, id="kvt-header-beyond-file"),
+        pytest.param(SCORE_BAD, {"bad.kvt": KVT_HEADER.pack(b"KVT1", 1, 1, 2, 2) + bytes(12)},
+                     None, id="kvt-truncated"),
+        pytest.param(SCORE_BAD, {"bad.kvt": KVT_HEADER.pack(b"KVT1", 1, 1, 2, 1)
+                                 + np.array([1.0, np.nan], "<f4").tobytes()},
+                     None, id="kvt-nan"),
     ])
     def test_malformed_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, files, seed_env):
         for name, content in files.items():
@@ -247,9 +274,25 @@ class TestValidationFailures:
             (tmp_path / name).write_bytes(raw)
         if seed_env is not None:
             monkeypatch.setenv("KVM_SEED", seed_env)
-        code, _, err = run_cli(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2
         _assert_documented_exit(code, err)
+        assert peak < 2**20  # refused before any large allocation
+
+    def test_stray_memory_error_exits_2(self, capsys, monkeypatch):
+        def run(config):
+            raise MemoryError("Unable to allocate 1.00 PiB")
+
+        monkeypatch.setattr(cli, "run", run)
+        code, _, err = run_cli(capsys, "collision-demo", "--n", "32")
+        assert code == 2
+        _assert_documented_exit(code, err)
+        assert json.loads(err)["error"] == "MemoryError"
 
 
 class TestScoreCommand:
@@ -525,6 +568,16 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["exit_code"] == 2
+
+    def test_no_warning_precedes_json_error(self, tmp_path):
+        # --alpha 1e300 overflows float32; in a subprocess, since pytest captures warnings
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvgeom", "gen", "--kind", "radial", "--alpha", "1e300",
+             "--out-keys", str(tmp_path / "k.kvt"), "--out-meta", str(tmp_path / "m.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        _assert_documented_exit(proc.returncode, proc.stderr)
 
 
 class TestCsvDeterminism:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -304,3 +305,16 @@ class TestSidecar:
         path.write_text(json.dumps({"kind": "radial"}))
         with pytest.raises(ValidationError):
             load_sidecar(path)
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("kind", ["subspace", "radial", "clusters", "collision"])
+    def test_keys_beyond_physical_memory_refused(self, monkeypatch, kind):
+        # pretend the machine has 1 MiB (2**10 pages of 2**10 bytes); a missing check
+        # would allocate just 2 MiB
+        monkeypatch.setattr(os, "sysconf", lambda name: 2**10)
+        base = {s.kind: s.params for s in make_each_kind()}[kind]
+        params = {**base, "n": 2**16, "d": 4}
+        with pytest.raises(ValidationError, match="physical memory"):
+            regenerate(kind, params)
+        assert regenerate(kind, {**params, "n": 2**15}).seq_len == 2**15  # exactly 1 MiB fits

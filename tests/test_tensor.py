@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kvgeom import KeyTensor, ScoreTensor, ValidationError, load_kvt, save_kvt, slice_seq
+from kvgeom.tensor import freeze
 
 from conftest import kt, random_tensor, rng
 
@@ -40,6 +41,20 @@ class TestKeyTensor:
         src = np.zeros((1, 1, 2, 2), dtype=np.float32)
         KeyTensor(src)
         src[0, 0, 0, 0] = 5.0  # caller's array stays writable
+
+    def test_adopts_frozen_fresh_array_without_copy(self):
+        fresh = np.zeros((1, 1, 2, 2), dtype=np.float32)
+        assert KeyTensor(freeze(fresh)).data is fresh
+        scores = np.zeros((1, 1, 2))
+        assert ScoreTensor(freeze(scores)).data is scores
+
+    def test_copies_read_only_view(self):
+        base = np.zeros((1, 1, 2, 2), dtype=np.float32)
+        view = base[:]
+        view.setflags(write=False)  # read-only, but `base` can still write it
+        t = KeyTensor(view)
+        assert not np.shares_memory(t.data, base)
+        assert base.flags.writeable
 
     def test_equality(self):
         a = kt([[1.0, 2.0], [3.0, 4.0]])
@@ -173,10 +188,3 @@ class TestScoreTensor:
         save_kvt(t, path)
         back = load_kvt(path)
         assert np.array_equal(back.data[..., 0], s.data.astype(np.float32))
-
-    def test_rows_enumeration(self):
-        s = ScoreTensor(np.arange(6, dtype=np.float64).reshape(1, 2, 3))
-        rows = list(s.rows())
-        assert rows[0] == (0, 0, 0, 0.0)
-        assert rows[-1] == (0, 1, 2, 5.0)
-        assert len(rows) == 6
