@@ -26,9 +26,10 @@ class AttentionOutput:
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Stabilized softmax along the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
@@ -42,8 +43,11 @@ def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
             f"query shape {queries.shape} incompatible with key shape {keys.shape}"
         )
     q = queries.data.astype(np.float64)
-    k = keys.data.astype(np.float64)
-    logits = q @ k.transpose(0, 1, 3, 2) / np.sqrt(keys.head_dim)
+    logits = np.empty(q.shape[:3] + (keys.seq_len,))
+    for bi in range(keys.batch):
+        for hi in range(keys.heads):
+            np.matmul(q[bi, hi], keys.matrix(bi, hi).T, out=logits[bi, hi])
+    logits /= np.sqrt(keys.head_dim)
     return softmax_rows(logits)
 
 

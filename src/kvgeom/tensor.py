@@ -143,9 +143,11 @@ class ScoreTensor:
 
 
 def save_kvt(t: KeyTensor, path) -> None:
-    """Write a KeyTensor to `path` in KVT1 format (deterministic bytes)."""
-    if not np.isfinite(t.data).all():
-        raise ValidationError("refusing to write non-finite payload")
+    """Write a KeyTensor to `path` in KVT1 format (deterministic bytes).
+
+    The payload is not checked again: the KeyTensor constructor admits only
+    finite data, and its read-only array cannot be written afterwards.
+    """
     header = _HEADER.pack(MAGIC, t.batch, t.heads, t.seq_len, t.head_dim)
     with open(path, "wb") as fh:
         fh.write(header)

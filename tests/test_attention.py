@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kvgeom import (
     ScorerSpec,
     ValidationError,
     attention,
+    attention_weights,
     compute_scores,
     gen_queries,
     gen_subspace_scenario,
@@ -82,6 +84,31 @@ class TestAttention:
         base = attention(q, k, v).values
         permuted = attention(q, kp, vp).values
         assert permuted == pytest.approx(base, rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("q_shape, k_shape", [
+        ((2, 3, 5, 7), (2, 3, 33, 7)),
+        ((1, 2, 16, 128), (1, 2, 1001, 128)),
+    ])
+    def test_slabwise_weights_equal_batched(self, q_shape, k_shape):
+        q = KeyTensor(rng(10).normal(size=q_shape) * 3.0)
+        k = KeyTensor(rng(11).normal(size=k_shape) * 2.0)
+        qd = q.data.astype(np.float64)
+        kd = k.data.astype(np.float64)
+        batched = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / np.sqrt(k.head_dim))
+        assert np.array_equal(attention_weights(q, k), batched)
+
+    def test_peak_memory_below_whole_key_copy(self):
+        q = random_tensor(12, heads=4, seq=8, dim=16)
+        k = random_tensor(13, heads=4, seq=4096, dim=16)
+        whole_keys = k.data.size * 8
+        logits = q.batch * q.heads * q.seq_len * k.seq_len * 8
+        tracemalloc.start()
+        try:
+            attention_weights(q, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_keys + logits
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):

@@ -1,16 +1,49 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvgeom import (
     EstimationError,
     ValidationError,
     estimate_dimensions,
+    manifold,
     mle_dim,
     pca_effective_dim,
     twonn_dim,
 )
 
 from conftest import rng
+
+
+def whole_matrix_nn_dists(points, k):
+    """Reference neighbor search: the whole n x n squared-distance matrix at once."""
+    sq = (points**2).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    part = np.partition(d2, k - 1, axis=1)[:, :k]
+    part.sort(axis=1)
+    return np.sqrt(part)
+
+
+def _tile_rows(n):
+    return max(1, manifold.TILE_ELEMENTS // n)
+
+
+# Cloud sizes at the row-tile boundaries: the largest n that one tile holds,
+# the first n that needs a second tile, several tiles whose last one is
+# ragged, and the first n whose last tile has a single row.
+ONE_TILE = math.isqrt(manifold.TILE_ELEMENTS)
+TILE_BOUNDARY_SIZES = (
+    ONE_TILE,
+    ONE_TILE + 1,
+    2500,
+    next(n for n in range(ONE_TILE + 1, 8 * ONE_TILE) if n % _tile_rows(n) == 1),
+)
 
 
 def planted_uniform(k, n, d, seed, low=0.0, high=1.0):
@@ -157,3 +190,91 @@ class TestDimensionReport:
             ]
             tol = max(1.0, 0.25 * k)
             assert abs(np.mean(estimates) - k) <= tol
+
+
+@st.composite
+def dyadic_clouds(draw):
+    """Clouds whose coordinates are small integers times a power of two.
+
+    Every squared distance of such a cloud is exact in float64 whatever
+    order a BLAS sums in, so tiled and whole-matrix tables must be equal.
+    A spread of 1 puts up to 3**d distinct points in the cloud, so most
+    points have duplicates.
+    """
+    n = draw(st.sampled_from(TILE_BOUNDARY_SIZES) | st.integers(3, 64))
+    d = draw(st.integers(1, 4))
+    spread = draw(st.sampled_from([1, 3, 1000]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = g.integers(-spread, spread + 1, size=(n, d)).astype(np.float64)
+    copies = draw(st.integers(0, n // 2))
+    points[:copies] = points[n - copies :]
+    points *= 2.0 ** draw(st.integers(-8, 8))
+    k = draw(st.sampled_from([2, n - 1]) | st.integers(2, n - 1))
+    return points, k
+
+
+class TestTiledNeighborSearch:
+    def test_boundary_sizes_cover_the_tile_cases(self):
+        one, two, ragged, single_row_tail = TILE_BOUNDARY_SIZES
+        assert _tile_rows(one) == one
+        assert _tile_rows(two) < two < 2 * _tile_rows(two)
+        assert ragged // _tile_rows(ragged) >= 2 and ragged % _tile_rows(ragged) > 0
+        assert single_row_tail % _tile_rows(single_row_tail) == 1
+
+    @staticmethod
+    def _report(points, k):
+        try:
+            return estimate_dimensions(points, k_neighbors=k)
+        except EstimationError as exc:
+            return repr(exc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dyadic_clouds())
+    def test_equals_whole_matrix_exactly(self, cloud):
+        points, k = cloud
+        tiled = manifold._sorted_nn_dists(points, k)
+        assert np.array_equal(tiled, whole_matrix_nn_dists(points, k))
+        report = self._report(points, k)
+        with mock.patch.object(manifold, "_sorted_nn_dists", whole_matrix_nn_dists):
+            assert report == self._report(points, k)
+
+    def test_duplicates_are_discarded_alike(self):
+        g = np.random.default_rng(5)
+        for n in TILE_BOUNDARY_SIZES:
+            points = g.integers(-1000, 1001, size=(n, 3)).astype(np.float64)
+            q = n // 4
+            points[:q] = points[q : 2 * q]
+            report = estimate_dimensions(points, k_neighbors=4)
+            assert report.discarded_pairs >= 2 * q
+            with mock.patch.object(manifold, "_sorted_nn_dists", whole_matrix_nn_dists):
+                assert estimate_dimensions(points, k_neighbors=4) == report
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(TILE_BOUNDARY_SIZES),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_within_blas_rounding_of_whole_matrix(self, n, d, seed):
+        # A BLAS may sum a row tile's dot products in another order than the
+        # same rows of the whole product (OpenBLAS does in the last n mod 8
+        # columns). With M = max|x|^2, each dot product then moves by at most
+        # d*eps*M, the squared distance by 2*d*eps*M plus 4*eps*M from its
+        # final rounding, and sqrt and the squaring below add 12*eps*M.
+        # Sorting is 1-Lipschitz, so the sorted tables agree to that bound.
+        points = np.random.default_rng(seed).normal(size=(n, d)) * 3.0
+        tiled = manifold._sorted_nn_dists(points, 2)
+        whole = whole_matrix_nn_dists(points, 2)
+        tol = (2 * d + 16) * np.finfo(np.float64).eps * (points**2).sum(axis=1).max()
+        assert np.abs(tiled**2 - whole**2).max() <= tol
+
+    def test_memory_is_bounded_by_tiles(self):
+        # The n x n float64 matrix alone would be 512 MiB.
+        points = np.random.default_rng(0).normal(size=(8192, 8))
+        tracemalloc.start()
+        try:
+            estimate_dimensions(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
