@@ -32,31 +32,41 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
+def _check_frames(q: KeyTensor, k: KeyTensor, v: KeyTensor | None = None) -> None:
+    if v is not None and (k.batch != v.batch or k.heads != v.heads or k.seq_len != v.seq_len):
+        raise ValidationError(f"key shape {k.shape} incompatible with value shape {v.shape}")
+    if q.batch != k.batch or q.heads != k.heads or q.head_dim != k.head_dim:
+        raise ValidationError(f"query shape {q.shape} incompatible with key shape {k.shape}")
+
+
+def _slab_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # softmax(q k^T / sqrt(d)) for one (batch, head) pair of float64 matrices
+    logits = q @ k.T
+    logits /= np.sqrt(k.shape[1])
+    return softmax_rows(logits)
+
+
 def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d)) per (batch, head, query) row, float64."""
-    if (
-        queries.batch != keys.batch
-        or queries.heads != keys.heads
-        or queries.head_dim != keys.head_dim
-    ):
-        raise ValidationError(
-            f"query shape {queries.shape} incompatible with key shape {keys.shape}"
-        )
-    q = queries.data.astype(np.float64)
-    logits = np.empty(q.shape[:3] + (keys.seq_len,))
+    """softmax(Q K^T / sqrt(d)) per (batch, head, query) row, float64.
+
+    Queries and keys are converted to float64 one (batch, head) slab at a time.
+    """
+    _check_frames(queries, keys)
+    out = np.empty(queries.shape[:3] + (keys.seq_len,))
     for bi in range(keys.batch):
         for hi in range(keys.heads):
-            np.matmul(q[bi, hi], keys.matrix(bi, hi).T, out=logits[bi, hi])
-    logits /= np.sqrt(keys.head_dim)
-    return softmax_rows(logits)
+            out[bi, hi] = _slab_weights(queries.matrix(bi, hi), keys.matrix(bi, hi))
+    return out
 
 
 def attention(q: KeyTensor, k: KeyTensor, v: KeyTensor) -> AttentionOutput:
     """Full attention output: weights and weighted values."""
-    if k.batch != v.batch or k.heads != v.heads or k.seq_len != v.seq_len:
-        raise ValidationError(f"key shape {k.shape} incompatible with value shape {v.shape}")
+    _check_frames(q, k, v)
     weights = attention_weights(q, k)
-    values = weights @ v.data.astype(np.float64)
+    values = np.empty(q.shape[:3] + (v.head_dim,))
+    for bi in range(k.batch):
+        for hi in range(k.heads):
+            np.matmul(weights[bi, hi], v.matrix(bi, hi), out=values[bi, hi])
     return AttentionOutput(values=values, weights=weights)
 
 
@@ -65,21 +75,20 @@ def preservation_error(q: KeyTensor, k: KeyTensor, v: KeyTensor, retained) -> fl
 
     ||attention(Q,K,V) - attention(Q,K',V')||_F / ||attention(Q,K,V)||_F,
     where K'/V' keep only the rows `retained` selects per (batch, head).
-    Zero when everything is retained.
+    Zero when everything is retained. Holds one (batch, head) slab of each
+    tensor in float64 at a time.
     """
-    full = attention(q, k, v).values
+    _check_frames(q, k, v)
     if retained.batch != k.batch or retained.heads != k.heads or retained.seq_len != k.seq_len:
         raise ValidationError("retention set frame does not match tensors")
+    full = np.empty(q.shape[:3] + (v.head_dim,))
     kept = np.empty_like(full)
-    qd = q.data.astype(np.float64)
-    kd = k.data.astype(np.float64)
-    vd = v.data.astype(np.float64)
-    scale = np.sqrt(k.head_dim)
     for bi in range(k.batch):
         for hi in range(k.heads):
+            qs, ks, vs = q.matrix(bi, hi), k.matrix(bi, hi), v.matrix(bi, hi)
+            np.matmul(_slab_weights(qs, ks), vs, out=full[bi, hi])
             idx = retained.indices[bi][hi]
-            logits = qd[bi, hi] @ kd[bi, hi, idx].T / scale
-            kept[bi, hi] = softmax_rows(logits) @ vd[bi, hi, idx]
+            np.matmul(_slab_weights(qs, ks[idx]), vs[idx], out=kept[bi, hi])
     denom = np.linalg.norm(full)
     num = np.linalg.norm(full - kept)
     if denom == 0.0:

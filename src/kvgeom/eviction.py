@@ -38,8 +38,14 @@ def topk_select(scores, m: int) -> np.ndarray:
         raise ValidationError("scores must be finite")
     if not 1 <= m <= arr.size:
         raise ValidationError(f"m must be in [1, {arr.size}], got {m}")
-    order = np.argsort(-arr, kind="stable")[:m]
-    return np.sort(order).astype(np.int64)
+    # the m-th largest score t: every score above t is kept, and the lowest
+    # indices among scores equal to t fill the rest, the selection a stable
+    # argsort of -scores makes (-0.0 and 0.0 tie there as here)
+    t = np.partition(arr, arr.size - m)[arr.size - m]
+    keep = arr > t
+    short = m - int(np.count_nonzero(keep))
+    keep[np.flatnonzero(arr == t)[:short]] = True
+    return np.flatnonzero(keep).astype(np.int64, copy=False)
 
 
 @dataclass
@@ -58,16 +64,19 @@ class RetentionSet:
         for row in self.indices:
             out_row = []
             for idx in row:
-                arr = np.asarray(idx, dtype=np.int64).ravel()
+                arr = np.array(idx, dtype=np.int64).ravel()  # own copy, never the caller's
                 if arr.size < 1:
                     raise ValidationError("each head must retain at least one token")
-                if np.unique(arr).size != arr.size:
-                    raise ValidationError("retained indices must be unique")
-                if arr.min() < 0 or arr.max() >= self.seq_len:
+                # strictly increasing means sorted and unique: one linear pass
+                if not (arr[1:] > arr[:-1]).all():
+                    arr.sort()
+                    if (arr[1:] == arr[:-1]).any():
+                        raise ValidationError("retained indices must be unique")
+                if arr[0] < 0 or arr[-1] >= self.seq_len:
                     raise ValidationError(
                         f"retained index out of range [0, {self.seq_len})"
                     )
-                out_row.append(np.sort(arr))
+                out_row.append(arr)
             normalized.append(out_row)
         self.indices = normalized
 

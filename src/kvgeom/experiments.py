@@ -162,6 +162,8 @@ def separation_test(
     spec = spec or ScorerSpec("manifold")
     n_grid = [int(n) for n in n_grid]
     seeds = [int(s) for s in seeds]
+    if not n_grid:
+        raise ValidationError("n_grid must be non-empty")
     if kind not in ("subspace", "radial"):
         raise ValidationError(f"kind must be 'subspace' or 'radial', got {kind!r}")
     if kind == "radial":

@@ -19,6 +19,10 @@ from .tensor import KeyTensor, ScoreTensor, freeze
 # Guard for unit-normalizing degenerate (zero-norm) keys.
 NORM_EPS = 1e-12
 
+# Rows whose squares are formed at a time for a row norm: 256 rows of 128
+# float64 values are 256 KiB, which stays in a core's L2 cache.
+ROW_CHUNK = 256
+
 METHODS = (
     "manifold",
     "windowed",
@@ -105,14 +109,19 @@ def l2_from_anchor(keys: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 
 
 def _centered_l2(block: np.ndarray) -> np.ndarray:
-    # block: (batch, heads, n, d) float64 -> distances from the block centroid
+    # block: (batch, heads, n, d) float64 -> distances from the block centroid.
+    # Consumes `block`: it is centred and squared in place, which gives the bits
+    # of np.linalg.norm(block - mu, axis=3) without its two full-size temporaries.
     mu = block.mean(axis=2, keepdims=True)
-    return np.linalg.norm(block - mu, axis=3)
+    block -= mu
+    block *= block
+    return np.sqrt(np.add.reduce(block, axis=3))
 
 
 def _slab_scores(t: KeyTensor, score_slab) -> ScoreTensor:
-    """Scores from `score_slab`, called on one (1, 1, seq, dim) float64 slab per
-    (batch, head), so that only one slab is held in float64 at a time."""
+    """Scores from `score_slab`, called on one fresh (1, 1, seq, dim) float64
+    slab per (batch, head), so that only one slab is held in float64 at a time.
+    The slab is the scorer's own copy: it may overwrite it."""
     scores = np.empty(t.shape[:3], dtype=np.float64)
     for b in range(t.batch):
         for h in range(t.heads):
@@ -149,7 +158,31 @@ def windowed_manifold_score(t: KeyTensor, window_size: int) -> ScoreTensor:
 
 
 def _guarded_norms(data: np.ndarray) -> np.ndarray:
-    return np.maximum(np.linalg.norm(data, axis=3, keepdims=True), NORM_EPS)
+    """Row norms of `data` (keepdims), floored at NORM_EPS.
+
+    The squares are formed ROW_CHUNK rows at a time in one small buffer that
+    stays in cache; every row is summed as np.linalg.norm sums it, so the
+    bits are the same.
+    """
+    n = data.shape[2]
+    sums = np.empty(data.shape[:3] + (1,))
+    work = np.empty(data.shape[:2] + (min(n, ROW_CHUNK), data.shape[3]))
+    for start in range(0, n, ROW_CHUNK):
+        end = min(start + ROW_CHUNK, n)
+        rows = data[:, :, start:end]
+        squares = np.multiply(rows, rows, out=work[:, :, : end - start])
+        np.add.reduce(squares, axis=3, keepdims=True, out=sums[:, :, start:end])
+    return np.maximum(np.sqrt(sums, out=sums), NORM_EPS)
+
+
+def _keydiff(data: np.ndarray) -> np.ndarray:
+    norms = _guarded_norms(data)
+    anchor = (data / norms).mean(axis=2, keepdims=True)
+    anchor_norms = np.maximum(np.linalg.norm(anchor, axis=3, keepdims=True), NORM_EPS)
+    data *= anchor  # the last use of the raw keys
+    cos = np.add.reduce(data, axis=3)
+    cos /= (norms * anchor_norms)[..., 0]
+    return 1.0 - cos
 
 
 def keydiff_score(t: KeyTensor) -> ScoreTensor:
@@ -160,36 +193,43 @@ def keydiff_score(t: KeyTensor) -> ScoreTensor:
     any score. Zero-norm keys are guarded with NORM_EPS instead of emitting
     NaN. Range [0, 2].
     """
-    data = t.data.astype(np.float64)
-    norms = _guarded_norms(data)
-    anchor = (data / norms).mean(axis=2, keepdims=True)
-    anchor_norms = np.maximum(np.linalg.norm(anchor, axis=3, keepdims=True), NORM_EPS)
-    cos = (data * anchor).sum(axis=3) / (norms * anchor_norms)[..., 0]
-    return ScoreTensor(freeze(1.0 - cos))
+    return _slab_scores(t, _keydiff)
+
+
+def _row_norms(data: np.ndarray) -> np.ndarray:
+    data *= data
+    return np.sqrt(np.add.reduce(data, axis=3))
 
 
 def knorm_score(t: KeyTensor) -> ScoreTensor:
     """Plain L2 magnitude of each key."""
-    data = t.data.astype(np.float64)
-    return ScoreTensor(freeze(np.linalg.norm(data, axis=3)))
+    return _slab_scores(t, _row_norms)
 
 
 def lp_score(t: KeyTensor, p) -> ScoreTensor:
-    """L1 or Linf distance from the per-(batch, head) centroid."""
-    data = t.data.astype(np.float64)
-    dev = np.abs(data - data.mean(axis=2, keepdims=True))
+    """L1 (p=1) or Linf (p=np.inf) distance from the per-(batch, head) centroid."""
     if p == 1:
-        return ScoreTensor(freeze(dev.sum(axis=3)))
-    if p in (np.inf, float("inf"), "inf"):
-        return ScoreTensor(freeze(dev.max(axis=3)))
-    raise ValidationError(f"p must be 1 or inf, got {p!r}")
+        reduce = np.add.reduce
+    elif p == np.inf:
+        reduce = np.maximum.reduce
+    else:
+        raise ValidationError(f"p must be 1 or inf, got {p!r}")
+
+    def deviation(data: np.ndarray) -> np.ndarray:
+        data -= data.mean(axis=2, keepdims=True)
+        return reduce(np.abs(data, out=data), axis=3)
+
+    return _slab_scores(t, deviation)
+
+
+def _normalized(data: np.ndarray) -> np.ndarray:
+    data /= _guarded_norms(data)
+    return _centered_l2(data)
 
 
 def normalized_manifold_score(t: KeyTensor) -> ScoreTensor:
     """L2 distance of unit-normalized keys from the mean of unit-normalized keys."""
-    data = t.data.astype(np.float64)
-    unit = data / _guarded_norms(data)
-    return ScoreTensor(freeze(_centered_l2(unit)))
+    return _slab_scores(t, _normalized)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, json_value, parse_file
-from .tensor import KeyTensor
+from .tensor import KeyTensor, freeze
 
 SCENARIO_KINDS = ("subspace", "radial", "clusters", "collision")
 QUERY_MODES = ("random", "needle_probing")
@@ -122,14 +122,20 @@ def _check_size(n: int, d: int) -> None:
         )
 
 
-def _as_scenario(kind: str, keys: np.ndarray, needles, params: dict) -> Scenario:
+def _as_tensor(matrix: np.ndarray) -> KeyTensor:
+    """An (n, d) float64 matrix as a (1, 1, n, d) KeyTensor, cast into a fresh
+    float32 array that the tensor adopts without a copy."""
+    out = np.empty((1, 1) + matrix.shape, dtype=np.float32)
     # values beyond float32 range become inf here, which KeyTensor reports
     with np.errstate(over="ignore"):
-        keys32 = keys.astype(np.float32)
-    tensor = KeyTensor(keys32[None, None, :, :])
+        np.copyto(out[0, 0], matrix, casting="same_kind")
+    return KeyTensor(freeze(out))
+
+
+def _as_scenario(kind: str, keys: np.ndarray, needles, params: dict) -> Scenario:
     return Scenario(
         kind=kind,
-        keys=tensor,
+        keys=_as_tensor(keys),
         needles=tuple(int(i) for i in sorted(needles)),
         params=params,
     )
@@ -295,7 +301,10 @@ def gen_cluster_mixture(
     needles = []
     per_coord = spread / np.sqrt(d)
     for i, (lo, hi) in enumerate(bounds):
-        keys[lo:hi] = means[i] + rng.normal(0.0, per_coord, size=(hi - lo, d))
+        # in place, the stream and bits of means[i] + rng.normal(0.0, per_coord, ...)
+        block = rng.standard_normal(out=keys[lo:hi])
+        block *= per_coord
+        block += means[i]
         radius = rng.uniform(3.0, 4.0) * spread
         pos_lo = max(lo, 1)
         pos_hi = min(hi, n - 1)
@@ -403,7 +412,7 @@ def gen_queries(
         q = base[reps]
         if noise > 0.0:
             q = q + noise * rng.normal(size=(n_queries, d))
-    return KeyTensor(q.astype(np.float32)[None, None, :, :])
+    return _as_tensor(q)
 
 
 # kind -> (generator, its argument names with the JSON type a sidecar must give each)

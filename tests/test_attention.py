@@ -158,6 +158,47 @@ class TestPreservationError:
         err = preservation_error(q, k, v, retain(8, [0, 2, 4], [1, 3, 5, 7]))
         assert err >= 0.0 and np.isfinite(err)
 
+    @pytest.mark.parametrize("batch, heads, queries, seq, dim, dv", [
+        (2, 3, 5, 40, 7, 3),
+        (1, 2, 16, 1001, 128, 64),
+    ])
+    def test_slabwise_equals_whole_tensor_expression(self, batch, heads, queries, seq, dim, dv):
+        q = KeyTensor(rng(40).normal(size=(batch, heads, queries, dim)) * 2.0)
+        k = KeyTensor(rng(41).normal(size=(batch, heads, seq, dim)))
+        v = KeyTensor(rng(42).normal(size=(batch, heads, seq, dv)))
+        g = rng(43)
+        retained = RetentionSet(batch=batch, heads=heads, seq_len=seq, indices=[
+            [np.sort(g.permutation(seq)[: int(g.integers(1, seq + 1))]) for _ in range(heads)]
+            for _ in range(batch)
+        ])
+        # the whole-tensor float64 expression the slab loop replaced
+        qd, kd, vd = (t.data.astype(np.float64) for t in (q, k, v))
+        scale = np.sqrt(dim)
+        full = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / scale) @ vd
+        kept = np.empty_like(full)
+        for bi in range(batch):
+            for hi in range(heads):
+                idx = retained.indices[bi][hi]
+                kept[bi, hi] = softmax_rows(qd[bi, hi] @ kd[bi, hi, idx].T / scale) @ vd[bi, hi, idx]
+        expected = float(np.linalg.norm(full - kept) / np.linalg.norm(full))
+        assert preservation_error(q, k, v, retained) == expected
+        assert np.array_equal(attention(q, k, v).values, full)
+
+    def test_peak_memory_below_whole_tensor_copy(self):
+        q = random_tensor(44, heads=8, seq=16, dim=64)
+        k = random_tensor(45, heads=8, seq=4096, dim=64)
+        v = random_tensor(46, heads=8, seq=4096, dim=64)
+        retained = RetentionSet(batch=1, heads=8, seq_len=4096,
+                                indices=[[np.arange(0, 4096, 2)] * 8])
+        whole = k.data.size * 8  # one whole-tensor float64 copy: 16 MiB
+        tracemalloc.start()
+        try:
+            preservation_error(q, k, v, retained)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole
+
 
 class TestPearson:
     def test_self_correlation(self):

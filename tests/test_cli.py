@@ -247,6 +247,8 @@ class TestValidationFailures:
         pytest.param(["dilution", "--n", "64", "--d", "8", "--k-grid", "1", "--seeds=-1",
                       *REPORT_OUT], {}, None, id="sweep-negative-seed"),
         pytest.param(["collision-demo", "--n", "32"], {}, "-1", id="env-negative-seed"),
+        pytest.param(["separation", "--config", "{tmp}/c.json", *REPORT_OUT],
+                     {"c.json": {"n_grid": []}}, None, id="config-empty-grid"),
         # sizes beyond physical memory (10**14 tokens) from a flag, config, sidecar or sweep
         pytest.param(["gen", "--kind", "radial", "--n", str(10**14), "--d", "4", *GEN_OUT], {},
                      None, id="gen-size-beyond-memory"),
@@ -419,6 +421,13 @@ class TestSweepCommands:
         assert run_cli(capsys, *args, "--jobs", "4", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_ablation_jobs_flag_output_identical(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["ablation", "--n", "256", "--d", "16", "--k-clusters", "4", "--seeds", "0,1"]
+        assert run_cli(capsys, *args, "--out", str(a))[0] == 0
+        assert run_cli(capsys, *args, "--jobs", "3", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_ablation_default_grid(self, capsys, tmp_path):
         out = tmp_path / "a.json"
         code, stdout, _ = run_cli(
@@ -568,6 +577,16 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["exit_code"] == 2
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is most of the package's import time; only `ttest` imports it, when run
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kvgeom.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_no_warning_precedes_json_error(self, tmp_path):
         # --alpha 1e300 overflows float32; in a subprocess, since pytest captures warnings

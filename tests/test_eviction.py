@@ -88,6 +88,12 @@ class TestTopkSelect:
             assert prev <= cur
             prev = cur
 
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0: the lower index wins, whichever sign it carries
+        assert np.array_equal(topk_select([0.0, -0.0, -1.0, 0.0], 2), [0, 1])
+        assert np.array_equal(topk_select([-0.0, 0.0, 0.0], 1), [0])
+        assert np.array_equal(topk_select([-1.0, 0.0, -0.0, 2.0], 3), [1, 2, 3])
+
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             topk_select([1.0, 2.0], 0)
@@ -107,8 +113,22 @@ class TestRetentionSet:
             RetentionSet(batch=1, heads=2, seq_len=4, indices=[[np.array([0])]])
 
     def test_sorts_indices(self):
-        r = RetentionSet(batch=1, heads=1, seq_len=5, indices=[[np.array([3, 0, 2])]])
+        given = np.array([3, 0, 2])
+        r = RetentionSet(batch=1, heads=1, seq_len=5, indices=[[given]])
         assert np.array_equal(r.indices[0][0], [0, 2, 3])
+        assert np.array_equal(given, [3, 0, 2])  # sorted in its own copy
+
+    @pytest.mark.parametrize("idx, message", [
+        ([3, 1, 3], "retained indices must be unique"),
+        ([2, 2], "retained indices must be unique"),
+        ([9, -1, 9], "retained indices must be unique"),  # duplicates are named first
+        ([0, 5], r"retained index out of range \[0, 5\)"),
+        ([4, -1], r"retained index out of range \[0, 5\)"),
+        ([], "each head must retain at least one token"),
+    ])
+    def test_rejections_name_the_fault(self, idx, message):
+        with pytest.raises(ValidationError, match=message):
+            RetentionSet(batch=1, heads=1, seq_len=5, indices=[[np.array(idx, dtype=np.int64)]])
 
     def test_to_json_obj(self):
         r = RetentionSet(

@@ -1,22 +1,31 @@
 """Property-based checks for the small algebraic contracts and the bulk I/O paths."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvgeom import (
     KeyTensor,
     Report,
+    RetentionSet,
     ScoreTensor,
+    ValidationError,
+    keydiff_score,
+    knorm_score,
     load_kvt,
+    lp_score,
     manifold_score,
+    normalized_manifold_score,
     save_kvt,
     slice_seq,
     topk_select,
     windowed_manifold_score,
 )
 from kvgeom.report import TOOL_VERSION, Columns, _format_cell
-from kvgeom.scorers import _centered_l2
+from kvgeom.scorers import NORM_EPS
 
 finite_f32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32
@@ -125,12 +134,58 @@ def batched_tensors():
     ).flatmap(lambda s: arrays(np.float32, s, elements=finite_f32))
 
 
+# The whole-tensor expressions the in-place slab kernels replaced, kept here
+# as oracles: the kernels must reproduce their bits exactly.
+
+def _centered_l2(block: np.ndarray) -> np.ndarray:
+    mu = block.mean(axis=2, keepdims=True)
+    return np.linalg.norm(block - mu, axis=3)
+
+
+def _guarded_norms(data: np.ndarray) -> np.ndarray:
+    return np.maximum(np.linalg.norm(data, axis=3, keepdims=True), NORM_EPS)
+
+
+def _keydiff(data: np.ndarray) -> np.ndarray:
+    norms = _guarded_norms(data)
+    anchor = (data / norms).mean(axis=2, keepdims=True)
+    anchor_norms = np.maximum(np.linalg.norm(anchor, axis=3, keepdims=True), NORM_EPS)
+    cos = (data * anchor).sum(axis=3) / (norms * anchor_norms)[..., 0]
+    return 1.0 - cos
+
+
+def _deviation(data: np.ndarray) -> np.ndarray:
+    return np.abs(data - data.mean(axis=2, keepdims=True))
+
+
 def _whole_tensor_windowed(data: np.ndarray, window: int) -> np.ndarray:
     block = data.astype(np.float64)
     out = np.empty(block.shape[:3])
     for start in range(0, block.shape[2], window):
         out[:, :, start:start + window] = _centered_l2(block[:, :, start:start + window])
     return out
+
+
+# scorer -> the old expression on the whole float64 tensor
+REPLACED_EXPRESSIONS = {
+    manifold_score: _centered_l2,
+    keydiff_score: _keydiff,
+    knorm_score: lambda d: np.linalg.norm(d, axis=3),
+    (lambda t: lp_score(t, 1)): lambda d: _deviation(d).sum(axis=3),
+    (lambda t: lp_score(t, np.inf)): lambda d: _deviation(d).max(axis=3),
+    normalized_manifold_score: lambda d: _centered_l2(d / _guarded_norms(d)),
+}
+
+
+def _assert_kernels_equal_replaced_expressions(data: np.ndarray, window: int) -> None:
+    t = KeyTensor(data)
+    whole = t.data.astype(np.float64)
+    for scorer, expression in REPLACED_EXPRESSIONS.items():
+        assert np.array_equal(scorer(t).data, expression(whole.copy()))
+    assert np.array_equal(windowed_manifold_score(t, window).data,
+                          _whole_tensor_windowed(t.data, window))
+    # C04: a window covering the sequence is global scoring, bit for bit
+    assert np.array_equal(windowed_manifold_score(t, t.seq_len).data, manifold_score(t).data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,6 +199,84 @@ def test_slab_scorers_equal_whole_tensor_reference(data, draw):
     # C04: a window covering the sequence is global scoring, bit for bit
     wide = draw.draw(st.integers(t.seq_len, t.seq_len + 5))
     assert np.array_equal(windowed_manifold_score(t, wide).data, manifold_score(t).data)
+
+
+# ties, zero keys and signed zeros next to ordinary values
+KERNEL_ELEMENTS = finite_f32 | st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40), st.integers(1, 9))
+    .flatmap(lambda s: arrays(np.float32, s, elements=KERNEL_ELEMENTS)),
+    st.data(),
+)
+def test_inplace_kernels_equal_replaced_expressions(data, draw):
+    _assert_kernels_equal_replaced_expressions(data, draw.draw(st.integers(1, data.shape[2])))
+
+
+@pytest.mark.parametrize("shape, window", [
+    ((1, 1, 1000, 128), 250),  # a sweep-like slab: pairwise sums past their 128-element block
+    ((2, 3, 257, 129), 100),
+    ((1, 2, 300, 1), 7),
+])
+def test_inplace_kernels_equal_replaced_expressions_at_size(shape, window):
+    g = np.random.Generator(np.random.Philox(sum(shape)))
+    data = (g.normal(size=shape) * g.uniform(0.1, 50.0, size=shape[:3] + (1,))).astype(np.float32)
+    data[0, 0, 3] = 0.0
+    _assert_kernels_equal_replaced_expressions(data, window)
+
+
+# ------------------------------------------------ partition top-k and the retention check
+
+TIE_HEAVY = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324, 1e308, -1e308]) | (
+    st.floats(-3, 3).map(lambda x: round(x, 1))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIE_HEAVY, min_size=1, max_size=300), st.data())
+def test_topk_equals_stable_argsort_oracle(scores, draw):
+    arr = np.asarray(scores, dtype=np.float64)
+    m = draw.draw(st.sampled_from([1, arr.size]) | st.integers(1, arr.size))
+    oracle = np.sort(np.argsort(-arr, kind="stable")[:m])
+    got = topk_select(arr, m)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle)
+
+
+def _unique_check_oracle(idx, seq_len):
+    # the check the linear pass replaced: the message it raises, or the sorted indices
+    arr = np.asarray(idx, dtype=np.int64).ravel()
+    if arr.size < 1:
+        return "each head must retain at least one token"
+    if np.unique(arr).size != arr.size:
+        return "retained indices must be unique"
+    if arr.min() < 0 or arr.max() >= seq_len:
+        return f"retained index out of range [0, {seq_len})"
+    return np.sort(arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-3, 12), max_size=14) | st.lists(st.integers(0, 11), unique=True),
+    st.integers(1, 12),
+    st.booleans(),
+)
+def test_retention_check_equals_unique_oracle(idx, seq_len, sort_first):
+    if sort_first:
+        idx = sorted(idx)
+    given_arr = np.asarray(idx, dtype=np.int64)
+    expected = _unique_check_oracle(given_arr, seq_len)
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            RetentionSet(batch=1, heads=1, seq_len=seq_len, indices=[[given_arr]])
+    else:
+        kept = RetentionSet(batch=1, heads=1, seq_len=seq_len, indices=[[given_arr]])
+        assert kept.indices[0][0].dtype == np.int64
+        assert np.array_equal(kept.indices[0][0], expected)
+        assert not np.shares_memory(kept.indices[0][0], given_arr)
+    assert np.array_equal(given_arr, idx)  # the caller's array is never sorted in place
 
 
 # ------------------------------------------------ tensors never take over a caller's array

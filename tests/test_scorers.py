@@ -241,8 +241,10 @@ class TestSimpleScores:
         assert np.array_equal(lp_score(t, np.inf).data[0, 0], [4.0, 4.0])
 
     def test_lp_rejects_other_p(self):
-        with pytest.raises(ValidationError):
-            lp_score(random_tensor(0), 2)
+        # only the two values compute_scores passes, 1 and np.inf
+        for p in (2, "inf", "1", 0.5, -np.inf, None):
+            with pytest.raises(ValidationError, match="p must be 1 or inf"):
+                lp_score(random_tensor(0), p)
 
     def test_norm_inequality_chain(self):
         for seed in range(20):
@@ -390,3 +392,25 @@ class TestCrossCuttingInvariants:
     def test_compute_scores_requires_queries_for_obs(self):
         with pytest.raises(ValidationError, match="quer"):
             compute_scores(ScorerSpec("obs_attention", obs_window=2), random_tensor(0))
+
+
+class TestInputsUntouched:
+    """Scorers work on their own float64 copies and never write into their input."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ALL_GLOBAL_SPECS + [ScorerSpec("windowed", window_size=3),
+                            ScorerSpec("windowed", window_size=64)],
+        ids=lambda s: s.label(),
+    )
+    def test_scorers_leave_caller_array_and_tensor_data_unchanged(self, spec):
+        caller = rng(30).normal(size=(2, 3, 20, 5)).astype(np.float32)
+        caller[0, 1, 4] = 0.0  # a zero key takes the NORM_EPS guard
+        snapshot = caller.copy()
+        t = KeyTensor(caller)
+        queries = KeyTensor(rng(31).normal(size=(2, 3, 6, 5)))
+        q_snapshot = queries.data.copy()
+        compute_scores(spec, t, queries=queries)
+        assert np.array_equal(caller, snapshot) and caller.flags.writeable
+        assert np.array_equal(t.data, snapshot) and not t.data.flags.writeable
+        assert np.array_equal(queries.data, q_snapshot)

@@ -142,6 +142,32 @@ class TestRadialFailure:
             gen_radial_failure(alpha=2.0, epsilon=0.1, n=2, d=4, seed=0)
 
 
+def _out_of_place_cluster_keys(n, d, k_clusters, spread, separation, seed, shuffle):
+    # the construction the in-place draws replaced: means[i] + rng.normal(...) per block
+    rng = np.random.Generator(np.random.Philox(seed))
+    dirs, _ = np.linalg.qr(rng.normal(size=(d, k_clusters)))
+    dirs = dirs.T
+    means = separation * dirs
+    keys = np.empty((n, d))
+    needles = []
+    lo = 0
+    for i in range(k_clusters):
+        hi = lo + n // k_clusters + (1 if i < n % k_clusters else 0)
+        keys[lo:hi] = means[i] + rng.normal(0.0, spread / np.sqrt(d), size=(hi - lo, d))
+        radius = rng.uniform(3.0, 4.0) * spread
+        pos = int(rng.integers(max(lo, 1), min(hi, n - 1)))
+        keys[pos] = means[i] - radius * dirs[i]
+        needles.append(pos)
+        lo = hi
+    if shuffle:
+        perm = rng.permutation(n)
+        keys = keys[perm]
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[perm] = np.arange(n)
+        needles = [int(inverse[p]) for p in needles]
+    return keys, needles
+
+
 class TestClusterMixture:
     def test_single_cluster_blob(self):
         scenario = gen_cluster_mixture(n=64, d=16, k_clusters=1, spread=1.0,
@@ -202,6 +228,17 @@ class TestClusterMixture:
         assert {tuple(r) for r in plain_needle_keys.tolist()} == {
             tuple(r) for r in mixed_needle_keys.tolist()
         }
+
+    @pytest.mark.parametrize("n, d, k_clusters, shuffle", [
+        (128, 16, 4, False), (1001, 33, 7, False), (4096, 128, 16, False), (300, 9, 3, True),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 123456])
+    def test_keys_equal_out_of_place_construction(self, n, d, k_clusters, shuffle, seed):
+        scenario = gen_cluster_mixture(n=n, d=d, k_clusters=k_clusters, spread=1.5,
+                                       separation=10.0, seed=seed, shuffle=shuffle)
+        keys, needles = _out_of_place_cluster_keys(n, d, k_clusters, 1.5, 10.0, seed, shuffle)
+        assert np.array_equal(scenario.keys.data[0, 0], keys.astype(np.float32))
+        assert list(scenario.needles) == sorted(needles)
 
     def test_param_errors(self):
         with pytest.raises(ValidationError):
