@@ -72,6 +72,6 @@ from .synth import (
     regenerate,
     save_sidecar,
 )
-from .tensor import KeyTensor, ScoreTensor, load_kvt, save_kvt, slice_seq
+from .tensor import KeyTensor, ScoreTensor, load_kvt, save_kvt
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ from .experiments import (
 )
 from .manifold import estimate_dimensions
 from .report import Columns, Report, config_hash
-from .scorers import METHODS, ScorerSpec, compute_scores
+from .scorers import METHOD_TABLE, METHODS, ScorerSpec, compute_scores
 from .synth import (
     SCENARIO_KINDS,
     Scenario,
@@ -97,7 +97,8 @@ def _method(**kwargs) -> Option:
 
 def _scorer_options(obs_window=None) -> tuple:
     return (
-        Option("--window", int, help="window size in tokens (windowed method)"),
+        Option("--window", int, dest="window_size",
+               help="window size in tokens (windowed method)"),
         Option("--lambda", float, dest="hybrid_lambda",
                help="mixing weight in [0, 1] (hybrid method)"),
         Option("--obs-window", int, obs_window,
@@ -235,6 +236,8 @@ def _validate(command: str, opts: dict) -> None:
         raise ValidationError("--seeds must list at least one seed")
     if opts.get("jobs", 1) < 1:
         raise ValidationError(f"--jobs must be >= 1, got {opts['jobs']}")
+    if command == "ablation" and opts["k_clusters"] < 1:
+        raise ValidationError(f"--k-clusters must be >= 1, got {opts['k_clusters']}")
     if command == "gen" and opts["from_sidecar"] is None and opts["kind"] is None:
         raise ValidationError("gen: either --kind or --from-sidecar is required")
     if command == "compare":
@@ -245,13 +248,8 @@ def _validate(command: str, opts: dict) -> None:
 
 
 def _scorer_spec(opts) -> ScorerSpec:
-    method = opts["method"]
-    return ScorerSpec(
-        method=method,
-        window_size=opts["window"] if method == "windowed" else None,
-        hybrid_lambda=opts["hybrid_lambda"] if method == "hybrid" else None,
-        obs_window=opts["obs_window"] if method == "obs_attention" else None,
-    )
+    field = METHOD_TABLE[opts["method"]].field  # the one parameter the method takes
+    return ScorerSpec(opts["method"], **({field: opts[field]} if field else {}))
 
 
 def _load_queries(opts) -> KeyTensor | None:

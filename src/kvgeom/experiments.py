@@ -70,17 +70,17 @@ def retention_rate(retained, needles) -> float:
     return hits / total
 
 
+def _scenario_queries(scenario: Scenario, n_queries: int, mode: str) -> KeyTensor:
+    seed = int(scenario.params["seed"]) + _QUERY_SEED_OFFSET
+    return gen_queries(n_queries=n_queries, d=scenario.keys.head_dim, mode=mode,
+                       scenario=scenario, seed=seed)
+
+
 def _auto_queries(scenario: Scenario, spec: ScorerSpec) -> KeyTensor | None:
     if spec.method != "obs_attention":
         return None
     mode = "needle_probing" if scenario.needles else "random"
-    return gen_queries(
-        n_queries=spec.obs_window,
-        d=scenario.keys.head_dim,
-        mode=mode,
-        scenario=scenario,
-        seed=int(scenario.params["seed"]) + _QUERY_SEED_OFFSET,
-    )
+    return _scenario_queries(scenario, spec.obs_window, mode)
 
 
 def run_retention(
@@ -108,15 +108,7 @@ def run_retention(
     if values is not None:
         from .attention import preservation_error
 
-        q = queries
-        if q is None:
-            q = gen_queries(
-                n_queries=8,
-                d=scenario.keys.head_dim,
-                mode="needle_probing",
-                scenario=scenario,
-                seed=int(scenario.params["seed"]) + _QUERY_SEED_OFFSET,
-            )
+        q = queries if queries is not None else _scenario_queries(scenario, 8, "needle_probing")
         pres_err = preservation_error(q, scenario.keys, values, retained)
     return RetentionResult(
         method=spec.label(),
@@ -138,6 +130,25 @@ def _map_jobs(jobs: int, fn, args_list):
 
 def _mean(values) -> float:
     return float(np.mean(values))
+
+
+def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> Report:
+    """Run `job(point, seed)` for every grid point and seed and group the rows.
+
+    Each grid point's run rows are followed by its mean row: the `means`
+    columns averaged over seeds and the `carried` columns of the first run.
+    The report's columns are row, `column`, `carried`, seed, `means`.
+    """
+    rows = _map_jobs(jobs, job, [(point, seed) for point in grid for seed in seeds])
+    out = []
+    for point in grid:
+        chunk = [r for r in rows if r[column] == point]
+        out.extend(chunk)
+        out.append({"row": "mean", column: point, "seed": "",
+                    **{c: chunk[0][c] for c in carried},
+                    **{c: _mean([r[c] for r in chunk]) for c in means}})
+    return Report(name=name, columns=["row", column, *carried, "seed", *means], rows=out,
+                  metadata={**params, "config_hash": config_hash(params)}, group_by=column)
 
 
 def separation_test(
@@ -189,25 +200,10 @@ def separation_test(
         return {"row": "run", "n": n, "seed": seed, "retention": rate,
                 "success": rate == 1.0}
 
-    rows = _map_jobs(jobs, job, [(n, s) for n in n_grid for s in seeds])
-    out = []
-    for n in n_grid:
-        chunk = [r for r in rows if r["n"] == n]
-        out.extend(chunk)
-        out.append({
-            "row": "mean", "n": n, "seed": "",
-            "retention": _mean([r["retention"] for r in chunk]),
-            "success": _mean([1.0 if r["success"] else 0.0 for r in chunk]),
-        })
     params = {"k": k, "d": d, "sigma": sigma, "epsilon": epsilon, "n_grid": n_grid,
               "n_out": n_out, "seeds": seeds, "method": spec.label(), "kind": kind}
-    return Report(
-        name="separation",
-        columns=["row", "n", "seed", "retention", "success"],
-        rows=out,
-        metadata={**params, "config_hash": config_hash(params)},
-        group_by="n",
-    )
+    # the mean of the success flags is the fraction of seeds with perfect retention
+    return _sweep("separation", "n", n_grid, seeds, jobs, job, ("retention", "success"), params)
 
 
 def dilution_sweep(
@@ -229,8 +225,8 @@ def dilution_sweep(
     """
     k_grid = [int(k) for k in k_grid]
     seeds = [int(s) for s in seeds]
-    if not k_grid:
-        raise ValidationError("k_grid must be non-empty")
+    if not k_grid or any(k < 1 for k in k_grid):
+        raise ValidationError("k_grid must be non-empty positive cluster counts")
 
     def job(k_clusters: int, seed: int) -> dict:
         w = window if window is not None else max(1, n // k_clusters)
@@ -245,28 +241,11 @@ def dilution_sweep(
                 "global_retention": g, "windowed_retention": wr,
                 "keydiff_retention": kd, "gap": wr - g}
 
-    rows = _map_jobs(jobs, job, [(k, s) for k in k_grid for s in seeds])
-    out = []
-    for k in k_grid:
-        chunk = [r for r in rows if r["k_clusters"] == k]
-        out.extend(chunk)
-        out.append({
-            "row": "mean", "k_clusters": k, "window": chunk[0]["window"], "seed": "",
-            "global_retention": _mean([r["global_retention"] for r in chunk]),
-            "windowed_retention": _mean([r["windowed_retention"] for r in chunk]),
-            "keydiff_retention": _mean([r["keydiff_retention"] for r in chunk]),
-            "gap": _mean([r["gap"] for r in chunk]),
-        })
     params = {"k_grid": k_grid, "n": n, "d": d, "rho": rho, "window": window,
               "seeds": seeds, "spread": spread, "separation": separation}
-    return Report(
-        name="dilution",
-        columns=["row", "k_clusters", "window", "seed", "global_retention",
-                 "windowed_retention", "keydiff_retention", "gap"],
-        rows=out,
-        metadata={**params, "config_hash": config_hash(params)},
-        group_by="k_clusters",
-    )
+    means = ("global_retention", "windowed_retention", "keydiff_retention", "gap")
+    return _sweep("dilution", "k_clusters", k_grid, seeds, jobs, job, means, params,
+                  carried=("window",))
 
 
 def window_ablation(
@@ -301,28 +280,13 @@ def window_ablation(
         return {"row": "run", "window": w, "seed": seed,
                 "windowed_retention": wr, "global_retention": g}
 
-    rows = _map_jobs(jobs, job, [(w, s) for w in w_grid for s in seeds])
-    out = []
-    means = {}
-    for w in w_grid:
-        chunk = [r for r in rows if r["window"] == w]
-        out.extend(chunk)
-        means[w] = _mean([r["windowed_retention"] for r in chunk])
-        out.append({
-            "row": "mean", "window": w, "seed": "",
-            "windowed_retention": means[w],
-            "global_retention": _mean([r["global_retention"] for r in chunk]),
-        })
-    best = max(sorted(means), key=lambda w: (means[w], w))
     params = {"w_grid": w_grid, "n": n, "d": d, "k_clusters": k_clusters, "rho": rho,
               "seeds": seeds, "spread": spread, "separation": separation}
-    return Report(
-        name="ablation",
-        columns=["row", "window", "seed", "windowed_retention", "global_retention"],
-        rows=out,
-        metadata={**params, "best_window": best, "config_hash": config_hash(params)},
-        group_by="window",
-    )
+    means = ("windowed_retention", "global_retention")
+    report = _sweep("ablation", "window", w_grid, seeds, jobs, job, means, params)
+    mean_of = {r["window"]: r["windowed_retention"] for r in report.rows if r["row"] == "mean"}
+    report.metadata["best_window"] = max(sorted(mean_of), key=lambda w: (mean_of[w], w))
+    return report
 
 
 def paired_ttest(a, b) -> TTestResult:

@@ -9,6 +9,7 @@ in float64 regardless of the float32 storage precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,26 +24,52 @@ NORM_EPS = 1e-12
 # float64 values are 256 KiB, which stays in a core's L2 cache.
 ROW_CHUNK = 256
 
-METHODS = (
-    "manifold",
-    "windowed",
-    "keydiff",
-    "knorm",
-    "l1",
-    "linf",
-    "hybrid",
-    "normalized",
-    "obs_attention",
-)
+
+class Method(NamedTuple):
+    """One scoring method: `score(keys, parameter, queries)`, which reaches its
+    scorer by module-global name at call time, and for a method with a parameter
+    the ScorerSpec field it requires, the field's config key (the flag without
+    dashes), its label format and its range check."""
+
+    score: Callable
+    field: str | None = None
+    key: str | None = None
+    label: str | None = None
+    check: Callable | None = None
+
+
+def _at_least_one(field: str, value) -> None:
+    if value < 1:
+        raise ValidationError(f"{field} must be >= 1, got {value}")
+
+
+def _unit_interval(field: str, value) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{field} must be in [0, 1], got {value}")
+
+
+METHOD_TABLE = {
+    "manifold": Method(lambda k, p, q: manifold_score(k)),
+    "windowed": Method(lambda k, p, q: windowed_manifold_score(k, p),
+                       "window_size", "window", "windowed[{}]", _at_least_one),
+    "keydiff": Method(lambda k, p, q: keydiff_score(k)),
+    "knorm": Method(lambda k, p, q: knorm_score(k)),
+    "l1": Method(lambda k, p, q: lp_score(k, 1)),
+    "linf": Method(lambda k, p, q: lp_score(k, np.inf)),
+    # {:g} for lambda only: a window of 10**6 would read 1e+06
+    "hybrid": Method(lambda k, p, q: hybrid_score(k, p),
+                     "hybrid_lambda", "lambda", "hybrid[{:g}]", _unit_interval),
+    "normalized": Method(lambda k, p, q: normalized_manifold_score(k)),
+    "obs_attention": Method(lambda k, p, q: obs_attention_score(k, q, p),
+                            "obs_window", "obs_window", "obs_attention[{}]", _at_least_one),
+}
+
+METHODS = tuple(METHOD_TABLE)
 
 
 @dataclass(frozen=True)
 class ScorerSpec:
-    """A scorer selection plus its method-specific parameters.
-
-    window_size is required iff method == "windowed", hybrid_lambda iff
-    method == "hybrid", obs_window iff method == "obs_attention".
-    """
+    """A scorer selection plus the one parameter its METHOD_TABLE row requires."""
 
     method: str
     window_size: int | None = None
@@ -52,41 +79,29 @@ class ScorerSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for field_name, needed_by, flag in (
-            ("window_size", "windowed", "--window"),
-            ("hybrid_lambda", "hybrid", "--lambda"),
-            ("obs_window", "obs_attention", "--obs-window"),
-        ):
-            value = getattr(self, field_name)
-            if self.method == needed_by and value is None:
-                raise ValidationError(f"method {needed_by!r} requires {field_name} ({flag})")
-            if self.method != needed_by and value is not None:
-                raise ValidationError(f"{field_name} is only valid for method {needed_by!r}")
-        if self.window_size is not None and self.window_size < 1:
-            raise ValidationError(f"window_size must be >= 1, got {self.window_size}")
-        if self.hybrid_lambda is not None and not 0.0 <= self.hybrid_lambda <= 1.0:
-            raise ValidationError(f"hybrid_lambda must be in [0, 1], got {self.hybrid_lambda}")
-        if self.obs_window is not None and self.obs_window < 1:
-            raise ValidationError(f"obs_window must be >= 1, got {self.obs_window}")
+        for method, m in METHOD_TABLE.items():
+            value = getattr(self, m.field) if m.field else None
+            if method == self.method and m.field and value is None:
+                flag = "--" + m.key.replace("_", "-")
+                raise ValidationError(f"method {method!r} requires {m.field} ({flag})")
+            if method != self.method and value is not None:
+                raise ValidationError(f"{m.field} is only valid for method {method!r}")
+        own = METHOD_TABLE[self.method]
+        if own.field:
+            own.check(own.field, self._parameter)
+
+    @property
+    def _parameter(self):
+        field = METHOD_TABLE[self.method].field
+        return getattr(self, field) if field else None
 
     def label(self) -> str:
-        if self.method == "windowed":
-            return f"windowed[{self.window_size}]"
-        if self.method == "hybrid":
-            return f"hybrid[{self.hybrid_lambda:g}]"
-        if self.method == "obs_attention":
-            return f"obs_attention[{self.obs_window}]"
-        return self.method
+        own = METHOD_TABLE[self.method]
+        return own.label.format(self._parameter) if own.field else self.method
 
     def to_dict(self) -> dict:
-        out = {"method": self.method}
-        if self.window_size is not None:
-            out["window"] = self.window_size
-        if self.hybrid_lambda is not None:
-            out["lambda"] = self.hybrid_lambda
-        if self.obs_window is not None:
-            out["obs_window"] = self.obs_window
-        return out
+        own = METHOD_TABLE[self.method]
+        return {"method": self.method, **({own.key: self._parameter} if own.field else {})}
 
 
 def centroid(keys: np.ndarray) -> np.ndarray:
@@ -143,8 +158,7 @@ def windowed_manifold_score(t: KeyTensor, window_size: int) -> ScoreTensor:
     rescaling) so that a single global top-k can run downstream. With
     window_size >= seq_len this is bit-identical to manifold_score.
     """
-    if window_size < 1:
-        raise ValidationError(f"window_size must be >= 1, got {window_size}")
+    _at_least_one("window_size", window_size)
     n = t.seq_len
 
     def windows(slab: np.ndarray) -> np.ndarray:
@@ -242,12 +256,15 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
 
 
 def hybrid_score(t: KeyTensor, hybrid_lambda: float) -> ScoreTensor:
-    """Convex combination of min-max-normalized centroid-L2 and keydiff scores."""
-    if not 0.0 <= hybrid_lambda <= 1.0:
-        raise ValidationError(f"hybrid_lambda must be in [0, 1], got {hybrid_lambda}")
-    m = _minmax(manifold_score(t).data)
-    k = _minmax(keydiff_score(t).data)
-    return ScoreTensor(freeze(hybrid_lambda * m + (1.0 - hybrid_lambda) * k))
+    """Convex combination of min-max-normalized centroid-L2 and keydiff scores,
+    both from one float64 slab per (batch, head): min-max scaling is per row."""
+    _unit_interval("hybrid_lambda", hybrid_lambda)
+
+    def mix(slab: np.ndarray) -> np.ndarray:
+        m = _minmax(_centered_l2(slab.copy()))
+        return hybrid_lambda * m + (1.0 - hybrid_lambda) * _minmax(_keydiff(slab))
+
+    return _slab_scores(t, mix)
 
 
 def obs_attention_score(keys: KeyTensor, queries: KeyTensor, obs_window: int) -> ScoreTensor:
@@ -257,8 +274,9 @@ def obs_attention_score(keys: KeyTensor, queries: KeyTensor, obs_window: int) ->
     equals obs_window. No causal mask: this models prefill-time eviction over
     a fixed prefix.
     """
-    if obs_window < 1:
-        raise ValidationError(f"obs_window must be >= 1, got {obs_window}")
+    _at_least_one("obs_window", obs_window)
+    if queries is None:
+        raise ValidationError("obs_attention requires a query tensor")
     if obs_window > queries.seq_len:
         raise ValidationError(
             f"obs_window {obs_window} exceeds query count {queries.seq_len}"
@@ -272,24 +290,4 @@ def compute_scores(
     spec: ScorerSpec, keys: KeyTensor, queries: KeyTensor | None = None
 ) -> ScoreTensor:
     """Dispatch a ScorerSpec against a key tensor."""
-    if spec.method == "manifold":
-        return manifold_score(keys)
-    if spec.method == "windowed":
-        return windowed_manifold_score(keys, spec.window_size)
-    if spec.method == "keydiff":
-        return keydiff_score(keys)
-    if spec.method == "knorm":
-        return knorm_score(keys)
-    if spec.method == "l1":
-        return lp_score(keys, 1)
-    if spec.method == "linf":
-        return lp_score(keys, np.inf)
-    if spec.method == "hybrid":
-        return hybrid_score(keys, spec.hybrid_lambda)
-    if spec.method == "normalized":
-        return normalized_manifold_score(keys)
-    if spec.method == "obs_attention":
-        if queries is None:
-            raise ValidationError("obs_attention requires a query tensor")
-        return obs_attention_score(keys, queries, spec.obs_window)
-    raise ValidationError(f"unknown method {spec.method!r}")
+    return METHOD_TABLE[spec.method].score(keys, spec._parameter, queries)

@@ -129,9 +129,6 @@ class ScoreTensor:
     def seq_len(self) -> int:
         return self.data.shape[2]
 
-    def matches(self, t: KeyTensor) -> bool:
-        return self.data.shape == t.data.shape[:3]
-
     def to_key_tensor(self) -> KeyTensor:
         """Repack as a KeyTensor with head_dim = 1 (for KVT1 serialization)."""
         return KeyTensor(self.data[..., None])
@@ -187,11 +184,3 @@ def load_kvt(path) -> KeyTensor:
             )
     return KeyTensor(freeze(data))
 
-
-def slice_seq(t: KeyTensor, start: int, end: int) -> KeyTensor:
-    """Copy of the token range [start, end) along the sequence axis."""
-    if start < 0 or start >= end or end > t.seq_len:
-        raise ValidationError(
-            f"invalid slice [{start}, {end}) for seq_len {t.seq_len}"
-        )
-    return KeyTensor(t.data[:, :, start:end, :])

@@ -30,6 +30,7 @@ from kvgeom import (
 )
 from kvgeom import cli
 from kvgeom.cli import COMMANDS, build_parser, main, parse_config
+from kvgeom.scorers import METHOD_TABLE
 
 from conftest import random_tensor
 
@@ -74,6 +75,20 @@ class TestHelp:
             for dest, default in _DEFAULTS[name].items():
                 if default is not None:
                     assert f"(default: {default})" in text, (name, dest)
+
+    def test_method_choices_are_the_scorer_table(self):
+        rows = [(name, o) for name, c in cli._COMMANDS.items() for o in c.options
+                if o.flag in ("--method", "--methods")]
+        assert {name for name, _ in rows} == {"score", "compress", "separation", "compare"}
+        assert all(o.choices == METHODS for _, o in rows)
+
+    def test_scorer_options_set_the_spec_fields(self):
+        # each method's parameter flag fills its ScorerSpec field; its config key is the table's
+        for name in ("score", "compress", "separation", "compare"):
+            options = {o.dest: o for o in cli._COMMANDS[name].options}
+            for method in METHOD_TABLE.values():
+                if method.field:
+                    assert options[method.field].key == method.key, (name, method.field)
 
     def test_all_commands_registered(self):
         parser = build_parser()
@@ -249,6 +264,11 @@ class TestValidationFailures:
         pytest.param(["collision-demo", "--n", "32"], {}, "-1", id="env-negative-seed"),
         pytest.param(["separation", "--config", "{tmp}/c.json", *REPORT_OUT],
                      {"c.json": {"n_grid": []}}, None, id="config-empty-grid"),
+        # a cluster count of 0 once divided n before any check (exit 4)
+        pytest.param(["dilution", "--k-grid", "0", *REPORT_OUT], {}, None,
+                     id="dilution-zero-cluster-count"),
+        pytest.param(["ablation", "--k-clusters", "0", *REPORT_OUT], {}, None,
+                     id="ablation-zero-cluster-count"),
         # sizes beyond physical memory (10**14 tokens) from a flag, config, sidecar or sweep
         pytest.param(["gen", "--kind", "radial", "--n", str(10**14), "--d", "4", *GEN_OUT], {},
                      None, id="gen-size-beyond-memory"),

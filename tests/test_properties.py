@@ -13,6 +13,7 @@ from kvgeom import (
     RetentionSet,
     ScoreTensor,
     ValidationError,
+    hybrid_score,
     keydiff_score,
     knorm_score,
     load_kvt,
@@ -20,7 +21,6 @@ from kvgeom import (
     manifold_score,
     normalized_manifold_score,
     save_kvt,
-    slice_seq,
     topk_select,
     windowed_manifold_score,
 )
@@ -45,16 +45,6 @@ def test_kvt_round_trip_identity(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("kvt") / "t.kvt"
     save_kvt(t, path)
     assert load_kvt(path) == t
-
-
-@settings(max_examples=50, deadline=None)
-@given(tensors(), st.data())
-def test_slice_matches_index_arithmetic(data, draw):
-    t = KeyTensor(data)
-    start = draw.draw(st.integers(0, t.seq_len - 1))
-    end = draw.draw(st.integers(start + 1, t.seq_len))
-    s = slice_seq(t, start, end)
-    assert np.array_equal(s.data, t.data[:, :, start:end, :])
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,6 +144,14 @@ def _keydiff(data: np.ndarray) -> np.ndarray:
     return 1.0 - cos
 
 
+def _minmax(scores: np.ndarray) -> np.ndarray:
+    lo = scores.min(axis=2, keepdims=True)
+    span = scores.max(axis=2, keepdims=True) - lo
+    out = np.zeros_like(scores)
+    np.divide(scores - lo, span, out=out, where=span > 0)
+    return out
+
+
 def _deviation(data: np.ndarray) -> np.ndarray:
     return np.abs(data - data.mean(axis=2, keepdims=True))
 
@@ -184,6 +182,11 @@ def _assert_kernels_equal_replaced_expressions(data: np.ndarray, window: int) ->
         assert np.array_equal(scorer(t).data, expression(whole.copy()))
     assert np.array_equal(windowed_manifold_score(t, window).data,
                           _whole_tensor_windowed(t.data, window))
+    # hybrid, one slab pass: the two whole-tensor scorers, each min-max scaled, mixed
+    for lam in (0.0, 0.3, 1.0):
+        two_pass = (lam * _minmax(_centered_l2(whole.copy()))
+                    + (1.0 - lam) * _minmax(_keydiff(whole.copy())))
+        assert np.array_equal(hybrid_score(t, lam).data, two_pass)
     # C04: a window covering the sequence is global scoring, bit for bit
     assert np.array_equal(windowed_manifold_score(t, t.seq_len).data, manifold_score(t).data)
 

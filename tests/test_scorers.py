@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kvgeom import (
+    METHODS,
     KeyTensor,
     ScorerSpec,
     ValidationError,
@@ -19,6 +20,9 @@ from kvgeom import (
     obs_attention_score,
     windowed_manifold_score,
 )
+
+from kvgeom import scorers
+from kvgeom.scorers import METHOD_TABLE
 
 from conftest import kt, random_tensor, rng
 
@@ -68,6 +72,82 @@ class TestScorerSpec:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValidationError):
             ScorerSpec(**kwargs)
+
+
+# every method with the label and to_dict() it has always had
+SPEC_STRINGS = [
+    (ScorerSpec("manifold"), "manifold", {"method": "manifold"}),
+    (ScorerSpec("windowed", window_size=7), "windowed[7]", {"method": "windowed", "window": 7}),
+    (ScorerSpec("windowed", window_size=10**6), "windowed[1000000]",
+     {"method": "windowed", "window": 10**6}),
+    (ScorerSpec("keydiff"), "keydiff", {"method": "keydiff"}),
+    (ScorerSpec("knorm"), "knorm", {"method": "knorm"}),
+    (ScorerSpec("l1"), "l1", {"method": "l1"}),
+    (ScorerSpec("linf"), "linf", {"method": "linf"}),
+    (ScorerSpec("hybrid", hybrid_lambda=0.3), "hybrid[0.3]", {"method": "hybrid", "lambda": 0.3}),
+    (ScorerSpec("hybrid", hybrid_lambda=1e-7), "hybrid[1e-07]",
+     {"method": "hybrid", "lambda": 1e-7}),
+    (ScorerSpec("hybrid", hybrid_lambda=1), "hybrid[1]", {"method": "hybrid", "lambda": 1}),
+    (ScorerSpec("normalized"), "normalized", {"method": "normalized"}),
+    (ScorerSpec("obs_attention", obs_window=16), "obs_attention[16]",
+     {"method": "obs_attention", "obs_window": 16}),
+]
+
+
+class TestMethodTable:
+    def test_covers_every_method(self):
+        assert {spec.method for spec, _, _ in SPEC_STRINGS} == set(METHODS)
+        assert METHODS == tuple(METHOD_TABLE)
+
+    @pytest.mark.parametrize("spec, label, as_dict", SPEC_STRINGS, ids=lambda v: str(v))
+    def test_label_and_to_dict(self, spec, label, as_dict):
+        assert spec.label() == label
+        assert spec.to_dict() == as_dict
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "windowed"}, "method 'windowed' requires window_size (--window)"),
+        ({"method": "hybrid"}, "method 'hybrid' requires hybrid_lambda (--lambda)"),
+        ({"method": "obs_attention"}, "method 'obs_attention' requires obs_window (--obs-window)"),
+        ({"method": "hybrid", "window_size": 3, "hybrid_lambda": 0.5},
+         "window_size is only valid for method 'windowed'"),
+        ({"method": "windowed", "window_size": 0}, "window_size must be >= 1, got 0"),
+        ({"method": "hybrid", "hybrid_lambda": -0.5}, "hybrid_lambda must be in [0, 1], got -0.5"),
+        ({"method": "obs_attention", "obs_window": 0}, "obs_window must be >= 1, got 0"),
+    ])
+    def test_spec_messages(self, kwargs, message):
+        with pytest.raises(ValidationError) as raised:
+            ScorerSpec(**kwargs)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: windowed_manifold_score(random_tensor(0), 0), "window_size must be >= 1, got 0"),
+        (lambda: hybrid_score(random_tensor(0), 2.0), "hybrid_lambda must be in [0, 1], got 2.0"),
+        (lambda: obs_attention_score(random_tensor(0), random_tensor(1), 0),
+         "obs_window must be >= 1, got 0"),
+    ])
+    def test_scorers_share_the_range_checks(self, call, message):
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("name, spec", [
+        ("manifold_score", ScorerSpec("manifold")),
+        ("windowed_manifold_score", ScorerSpec("windowed", window_size=3)),
+        ("keydiff_score", ScorerSpec("keydiff")),
+        ("obs_attention_score", ScorerSpec("obs_attention", obs_window=2)),
+    ])
+    def test_compute_scores_calls_the_module_attribute(self, monkeypatch, name, spec):
+        # bench/spans.py traces these scorers by replacing them on the module
+        calls = []
+        original = getattr(scorers, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scorers, name, wrapper)
+        compute_scores(spec, random_tensor(0), queries=random_tensor(1, seq=4))
+        assert calls == [name]
 
 
 class TestCentroid:

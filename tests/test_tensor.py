@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from kvgeom import KeyTensor, ScoreTensor, ValidationError, load_kvt, save_kvt, slice_seq
+from kvgeom import KeyTensor, ScoreTensor, ValidationError, load_kvt, save_kvt
 from kvgeom.tensor import freeze
 
 from conftest import kt, random_tensor, rng
@@ -142,46 +142,10 @@ class TestKvtFormat:
             save_kvt(tiny_tensor, tmp_path)  # directory, not a file
 
 
-class TestSliceSeq:
-    def test_full_range_identity(self, tiny_tensor):
-        assert slice_seq(tiny_tensor, 0, tiny_tensor.seq_len) == tiny_tensor
-
-    def test_single_row(self, tiny_tensor):
-        s = slice_seq(tiny_tensor, 3, 4)
-        assert s.seq_len == 1
-        assert np.array_equal(s.data[:, :, 0, :], tiny_tensor.data[:, :, 3, :])
-
-    def test_chaining_matches_index_arithmetic(self, tiny_tensor):
-        # slice(0,4) then slice(2,4) must equal slice(2,4) of the original
-        chained = slice_seq(slice_seq(tiny_tensor, 0, 4), 2, 4)
-        direct = slice_seq(tiny_tensor, 2, 4)
-        assert chained == direct
-        oracle = tiny_tensor.data[:, :, 2:4, :]
-        assert np.array_equal(chained.data, oracle)
-
-    def test_preserves_other_axes(self, tiny_tensor):
-        s = slice_seq(tiny_tensor, 1, 5)
-        assert (s.batch, s.heads, s.head_dim) == (
-            tiny_tensor.batch,
-            tiny_tensor.heads,
-            tiny_tensor.head_dim,
-        )
-
-    def test_no_memory_sharing(self, tiny_tensor):
-        s = slice_seq(tiny_tensor, 0, 4)
-        assert not np.shares_memory(s.data, tiny_tensor.data)
-
-    @pytest.mark.parametrize("start,end", [(2, 2), (3, 1), (0, 99), (-1, 3)])
-    def test_bounds_errors(self, tiny_tensor, start, end):
-        with pytest.raises(ValidationError):
-            slice_seq(tiny_tensor, start, end)
-
-
 class TestScoreTensor:
-    def test_shape_and_match(self, tiny_tensor):
+    def test_shape_and_match(self):
         s = ScoreTensor(np.zeros((2, 3, 10)))
-        assert s.matches(tiny_tensor)
-        assert not s.matches(random_tensor(0, seq=4))
+        assert (s.batch, s.heads, s.seq_len) == (2, 3, 10)
 
     def test_rejects_nan(self):
         bad = np.zeros((1, 1, 3))
