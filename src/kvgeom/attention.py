@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import KeyTensor
+from .tensor import KeyTensor, all_finite
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _as_score_vector(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64).ravel()
     if arr.size < 2:
         raise ValidationError(f"{name} needs at least 2 entries, got {arr.size}")
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise ValidationError(f"{name} contains NaN or Inf")
     return arr
 

@@ -95,16 +95,20 @@ def _method(**kwargs) -> Option:
                   choices=METHODS, **kwargs)
 
 
-def _scorer_options(obs_window=None) -> tuple:
-    return (
+def _scorer_options(obs_window=None, queries=True) -> tuple:
+    """The method parameter flags; `queries=False` leaves out --queries, for a
+    command that generates its own queries."""
+    options = (
         Option("--window", int, dest="window_size",
                help="window size in tokens (windowed method)"),
         Option("--lambda", float, dest="hybrid_lambda",
                help="mixing weight in [0, 1] (hybrid method)"),
         Option("--obs-window", int, obs_window,
                help="number of trailing queries to observe (obs_attention method)"),
-        Option("--queries", help="KVT1 query tensor (obs_attention method)"),
     )
+    if queries:
+        options += (Option("--queries", help="KVT1 query tensor (obs_attention method)"),)
+    return options
 
 
 _OUT = Option("--out", required=True, help="output report path")
@@ -252,7 +256,11 @@ def _scorer_spec(opts) -> ScorerSpec:
     return ScorerSpec(opts["method"], **({field: opts[field]} if field else {}))
 
 
-def _load_queries(opts) -> KeyTensor | None:
+def _load_queries(opts, methods) -> KeyTensor | None:
+    """The --queries tensor, read only when one of `methods` is obs_attention:
+    the other methods ignore the flag, as they ignore --window."""
+    if "obs_attention" not in methods:
+        return None
     path = opts.get("queries")
     if path is None:
         if opts.get("method") == "obs_attention":
@@ -264,7 +272,7 @@ def _load_queries(opts) -> KeyTensor | None:
 def _cmd_score(opts) -> int:
     keys = load_kvt(opts["input"])
     spec = _scorer_spec(opts)
-    scores = compute_scores(spec, keys, queries=_load_queries(opts))
+    scores = compute_scores(spec, keys, queries=_load_queries(opts, [spec.method]))
     batch, head, token = np.indices(scores.data.shape).reshape(3, -1)
     rows = Columns(batch=batch, head=head, token=token, score=scores.data.ravel())
     params = {"input": opts["input"], "scorer": spec.to_dict()}
@@ -285,7 +293,7 @@ def _cmd_compress(opts) -> int:
     keys = load_kvt(opts["keys"])
     values = load_kvt(opts["values"])
     spec = _scorer_spec(opts)
-    scores = compute_scores(spec, keys, queries=_load_queries(opts))
+    scores = compute_scores(spec, keys, queries=_load_queries(opts, [spec.method]))
     plan = allocate_head_budgets(scores, opts["rho"], opts["mode"])
     retained = retention_from_scores(scores, plan)
     compressed = compress_cache(keys, values, retained)
@@ -446,7 +454,8 @@ def _cmd_compare(opts) -> int:
     specs = []
     for method in opts["methods"]:
         specs.append(_scorer_spec({**opts, "method": method}))
-    report = compare_methods(scenario, specs, opts["rho"], queries=_load_queries(opts))
+    queries = _load_queries(opts, opts["methods"])
+    report = compare_methods(scenario, specs, opts["rho"], queries=queries)
     report.write(opts["out"], opts["format"])
     print(f"compare: wrote {opts['out']} ({len(report.rows)} rows)")
     return 0
@@ -608,7 +617,7 @@ _COMMANDS = {
                help="scenario flavor: subspace or radial"),
         Option("--alpha", float, 100.0, help="outlier magnitude (radial kind)"),
         _method(default="manifold"),
-        *_scorer_options(),
+        *_scorer_options(queries=False),
         *_SWEEP,
     ),
     "compare": _command(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import KeyTensor, ScoreTensor, freeze
+from .tensor import KeyTensor, ScoreTensor, all_finite, freeze
 
 BUDGET_MODES = ("uniform", "proportional")
 
@@ -34,7 +34,7 @@ def topk_select(scores, m: int) -> np.ndarray:
     selected score is >= the maximum unselected score.
     """
     arr = np.asarray(scores, dtype=np.float64).ravel()
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise ValidationError("scores must be finite")
     if not 1 <= m <= arr.size:
         raise ValidationError(f"m must be in [1, {arr.size}], got {m}")

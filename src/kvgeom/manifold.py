@@ -7,9 +7,12 @@ Three complementary estimators:
   * k-NN MLE: mean over points of [mean_j log(r_k / r_j)]^-1.
 
 Neighbor search is exact and brute-force in float64: O(n^2) time, done in
-row tiles of about 16 MiB of distances, so memory is O(tile*n + n*k) rather
-than an n x n matrix. Duplicates (r1 < 1e-12) are discarded and counted.
-This targets desk-scale clouds, not production indexes.
+row tiles of about 16 MiB of distances held in two buffers that every tile
+reuses, so memory is O(tile*n + n*k) rather than an n x n matrix. Squared
+distances that rounding makes negative (near-duplicates) are clamped to 0
+only in the k selected columns; clamping is monotone, so no bit changes.
+Duplicates (r1 < 1e-12) are discarded and counted. This targets desk-scale
+clouds, not production indexes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, ValidationError
+from .tensor import all_finite
 
 DUPLICATE_EPS = 1e-12
 # Float64 distances held per row tile of the neighbor search (16 MiB):
@@ -56,7 +60,7 @@ def _as_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"expected an (n, d) matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise ValidationError("points contain NaN or Inf")
     return arr
 
@@ -81,24 +85,32 @@ def pca_effective_dim(points, threshold: float = 0.95) -> int:
 def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) matrix of each point's k smallest neighbor distances, ascending.
 
-    Exact, one tile of rows at a time. Each tile's squared distances use the
-    same operations in the same order as the whole n x n matrix would, so the
-    table equals the whole matrix's wherever the BLAS gives a row block of
-    `points @ points.T` the bits of the same rows of the whole product.
+    Exact, one tile of rows at a time, in two tile buffers reused by every
+    tile. Each tile's squared distances use the same operations in the same
+    order as the whole n x n matrix would, so the table equals the whole
+    matrix's wherever the BLAS gives a row block of `points @ points.T` the
+    bits of the same rows of the whole product. Negative squared distances
+    are clamped to 0 after selection: clamping is monotone, so the k
+    smallest clamped values are the clamped k smallest values.
     """
     n = points.shape[0]
-    rows = max(1, TILE_ELEMENTS // n)
+    rows = min(n, max(1, TILE_ELEMENTS // n))
     sq = (points**2).sum(axis=1)
+    gram = np.empty((rows, n))
+    dist = np.empty((rows, n))
     out = np.empty((n, k))
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        d2 = sq[s:e, None] + sq[None, :] - 2.0 * (points[s:e] @ points.T)
-        np.maximum(d2, 0.0, out=d2)
+        g, d2 = gram[: e - s], dist[: e - s]
+        np.matmul(points[s:e], points.T, out=g)
+        g *= 2.0
+        np.add(sq[s:e, None], sq[None, :], out=d2)
+        d2 -= g
         np.fill_diagonal(d2[:, s:], np.inf)
         d2.partition(k - 1, axis=1)
-        part = d2[:, :k]
+        part = out[s:e]
+        np.maximum(d2[:, :k], 0.0, out=part)
         part.sort(axis=1)
-        out[s:e] = part
     return np.sqrt(out, out=out)
 
 

@@ -31,6 +31,22 @@ def freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """`np.isfinite(arr).all()` without a bool array the size of `arr`.
+
+    Scans 64 Ki elements at a time into one small reused bool buffer and
+    stops at the first chunk holding NaN or Inf.
+    """
+    flat = np.ravel(arr, order="K")
+    chunk = 2**16
+    buf = np.empty(min(flat.size, chunk), dtype=bool)
+    for s in range(0, flat.size, chunk):
+        part = flat[s : s + chunk]
+        if not np.isfinite(part, out=buf[: part.size]).all():
+            return False
+    return True
+
+
 def _adopt(data, dtype) -> np.ndarray:
     """`data` as a read-only C-ordered array of `dtype`.
 
@@ -67,7 +83,7 @@ class KeyTensor:
             raise ValidationError(f"expected 4 axes (batch, heads, seq, dim), got {arr.ndim}")
         if min(arr.shape) < 1:
             raise ValidationError(f"all axes must be >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise ValidationError("tensor contains NaN or Inf")
         object.__setattr__(self, "data", arr)
 
@@ -113,7 +129,7 @@ class ScoreTensor:
             raise ValidationError(f"expected 3 axes (batch, heads, seq), got {arr.ndim}")
         if min(arr.shape) < 1:
             raise ValidationError(f"all axes must be >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise ValidationError("score tensor contains NaN or Inf")
         object.__setattr__(self, "data", arr)
 

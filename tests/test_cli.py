@@ -317,6 +317,50 @@ class TestValidationFailures:
         assert json.loads(err)["error"] == "MemoryError"
 
 
+class TestQueriesFlag:
+    """--queries is read only for obs_attention; separation generates its own queries."""
+
+    @pytest.mark.parametrize("argv,outputs", [
+        (["score", "--input", "{keys}", "--method", "manifold", "--out", "s.csv"], ["s.csv"]),
+        (["compress", "--keys", "{keys}", "--values", "{keys}", "--method", "keydiff",
+          "--out-keys", "k.kvt", "--out-values", "v.kvt", "--out-mask", "m.json"],
+         ["k.kvt", "v.kvt", "m.json"]),
+        (["compare", "--input", "{keys}", "--methods", "manifold,l1", "--out", "c.csv"],
+         ["c.csv"]),
+    ])
+    def test_other_methods_ignore_it(self, capsys, monkeypatch, keys_file, tmp_path,
+                                     argv, outputs):
+        argv = [a.replace("{keys}", str(keys_file)) for a in argv]
+        runs = []
+        for name, extra in (("plain", []),
+                            ("queries", ["--queries", str(tmp_path / "nonexistent.kvt")])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            code, stdout, err = run_cli(capsys, *argv, *extra)
+            assert code == 0, err
+            runs.append((stdout, [Path(f).read_bytes() for f in outputs]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--method", "obs_attention", "--obs-window", "2", "--out", "{tmp}/s.csv"],
+        ["compare", "--methods", "manifold,obs_attention", "--out", "{tmp}/c.csv"],
+    ])
+    def test_obs_attention_reads_it(self, capsys, keys_file, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, _, err = run_cli(capsys, *argv, "--input", str(keys_file),
+                               "--queries", str(tmp_path / "nonexistent.kvt"))
+        assert code == 3
+        _assert_documented_exit(code, err)
+
+    def test_separation_rejects_it(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "separation", "--method", "obs_attention",
+            "--queries", str(tmp_path / "nonexistent.kvt"), "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 2
+        assert "--queries" in json.loads(err)["message"]
+
+
 class TestScoreCommand:
     def test_csv_matches_library(self, capsys, keys_file, tmp_path):
         out = tmp_path / "s.csv"

@@ -30,6 +30,25 @@ def whole_matrix_nn_dists(points, k):
     return np.sqrt(part)
 
 
+def fresh_temporary_nn_dists(points, k):
+    """Reference row-tile loop: fresh temporaries for every tile, and the clamp
+    to 0 over the whole tile before selection."""
+    n = points.shape[0]
+    rows = max(1, manifold.TILE_ELEMENTS // n)
+    sq = (points**2).sum(axis=1)
+    out = np.empty((n, k))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        d2 = sq[s:e, None] + sq[None, :] - 2.0 * (points[s:e] @ points.T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2[:, s:], np.inf)
+        d2.partition(k - 1, axis=1)
+        part = d2[:, :k]
+        part.sort(axis=1)
+        out[s:e] = part
+    return np.sqrt(out, out=out)
+
+
 def _tile_rows(n):
     return max(1, manifold.TILE_ELEMENTS // n)
 
@@ -267,6 +286,34 @@ class TestTiledNeighborSearch:
         whole = whole_matrix_nn_dists(points, 2)
         tol = (2 * d + 16) * np.finfo(np.float64).eps * (points**2).sum(axis=1).max()
         assert np.abs(tiled**2 - whole**2).max() <= tol
+
+    @pytest.mark.parametrize("n", TILE_BOUNDARY_SIZES)
+    def test_equals_fresh_temporary_tiles_exactly(self, n):
+        # The reference makes the same BLAS calls row for row, so the tables
+        # are equal for every n. Near-duplicate rows round some squared
+        # distances below 0, which the kernel clamps only after selection.
+        g = np.random.default_rng(n)
+        points = g.normal(size=(n, 5)) * 3.0
+        q = n // 5
+        points[:q] = points[n - q :] + g.normal(size=(q, 5)) * 1e-9
+        a, b = points[:q], points[n - q :]
+        assert ((a**2).sum(axis=1) + (b**2).sum(axis=1) - 2.0 * (a * b).sum(axis=1) < 0.0).any()
+        # the k smallest sorted values are the first k columns of the whole sorted row
+        full = fresh_temporary_nn_dists(points, n - 1)
+        for k in (2, 10, n - 1):
+            assert np.array_equal(manifold._sorted_nn_dists(points, k), full[:, :k])
+
+    def test_search_holds_two_tile_buffers(self):
+        n, k = 8192, 10
+        points = np.random.default_rng(0).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            manifold._sorted_nn_dists(points, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = _tile_rows(n) * n * 8
+        assert peak <= 2 * tile + n * k * 8 + 2**20
 
     def test_memory_is_bounded_by_tiles(self):
         # The n x n float64 matrix alone would be 512 MiB.

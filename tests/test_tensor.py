@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvgeom import KeyTensor, ScoreTensor, ValidationError, load_kvt, save_kvt
-from kvgeom.tensor import freeze
+from kvgeom.tensor import all_finite, freeze
 
 from conftest import kt, random_tensor, rng
 
@@ -161,3 +161,19 @@ class TestScoreTensor:
         save_kvt(t, path)
         back = load_kvt(path)
         assert np.array_equal(back.data[..., 0], s.data.astype(np.float32))
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_equals_whole_array_scan(self, size):
+        # one bad value at each chunk edge, in float32 and float64, contiguous and strided
+        for dtype in (np.float32, np.float64):
+            arr = np.arange(size, dtype=dtype)
+            assert all_finite(arr) and all_finite(arr[::-3])
+            for pos in {0, 2**16 - 1, 2**16, size - 1} & set(range(size)):
+                for bad in (np.nan, np.inf, -np.inf):
+                    arr[pos] = bad
+                    assert not all_finite(arr)
+                    assert all_finite(arr[::-3]) == bool(np.isfinite(arr[::-3]).all())
+                    assert not all_finite(arr.reshape(1, -1).T)
+                    arr[pos] = 0.0
