@@ -79,7 +79,7 @@ def preservation_error(q: KeyTensor, k: KeyTensor, v: KeyTensor, retained) -> fl
     tensor in float64 at a time.
     """
     _check_frames(q, k, v)
-    if retained.batch != k.batch or retained.heads != k.heads or retained.seq_len != k.seq_len:
+    if retained.keep.shape != k.shape[:3]:
         raise ValidationError("retention set frame does not match tensors")
     full = np.empty(q.shape[:3] + (v.head_dim,))
     kept = np.empty_like(full)
@@ -87,8 +87,8 @@ def preservation_error(q: KeyTensor, k: KeyTensor, v: KeyTensor, retained) -> fl
         for hi in range(k.heads):
             qs, ks, vs = q.matrix(bi, hi), k.matrix(bi, hi), v.matrix(bi, hi)
             np.matmul(_slab_weights(qs, ks), vs, out=full[bi, hi])
-            idx = retained.indices[bi][hi]
-            np.matmul(_slab_weights(qs, ks[idx]), vs[idx], out=kept[bi, hi])
+            keep = retained.keep[bi, hi]
+            np.matmul(_slab_weights(qs, ks[keep]), vs[keep], out=kept[bi, hi])
     denom = np.linalg.norm(full)
     num = np.linalg.norm(full - kept)
     if denom == 0.0:
@@ -124,16 +124,9 @@ def pearson(a, b) -> float:
 def average_ranks(x) -> np.ndarray:
     """Ranks starting at 1; ties receive the average of their rank span."""
     arr = np.asarray(x, dtype=np.float64).ravel()
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # a tie group spans sorted positions ends - counts .. ends - 1
+    return (0.5 * ((ends - counts) + (ends - 1)) + 1.0)[inverse]
 
 
 def spearman(a, b) -> float:
@@ -147,17 +140,12 @@ def spearman(a, b) -> float:
 
 def selection_overlap(ra, rb) -> float:
     """Mean |intersection| / budget over (batch, head) pairs; budgets must match."""
-    if (ra.batch, ra.heads, ra.seq_len) != (rb.batch, rb.heads, rb.seq_len):
+    if ra.keep.shape != rb.keep.shape:
         raise ValidationError("retention sets cover different frames")
-    fractions = []
-    for bi in range(ra.batch):
-        for hi in range(ra.heads):
-            ia = ra.indices[bi][hi]
-            ib = rb.indices[bi][hi]
-            if len(ia) != len(ib):
-                raise ValidationError(
-                    f"budget mismatch at (batch={bi}, head={hi}): {len(ia)} vs {len(ib)}"
-                )
-            inter = np.intersect1d(ia, ib, assume_unique=True)
-            fractions.append(len(inter) / len(ia))
-    return float(np.mean(fractions))
+    ca, cb = ra.counts, rb.counts
+    if (ca != cb).any():
+        bi, hi = np.argwhere(ca != cb)[0]
+        raise ValidationError(
+            f"budget mismatch at (batch={bi}, head={hi}): {ca[bi, hi]} vs {cb[bi, hi]}"
+        )
+    return float(((ra.keep & rb.keep).sum(axis=2) / ca).mean())

@@ -502,7 +502,7 @@ def _cmd_ttest(opts) -> int:
     return 0
 
 
-# command -> (summary, options, handler); the parser, its help, _DEFAULTS,
+# command -> (summary, options, handler); the parser, its help,
 # config coercion and the required checks are all derived from this table.
 _COMMANDS = {
     "score": _command(
@@ -645,9 +645,6 @@ _COMMANDS = {
 }
 
 COMMANDS = tuple(_COMMANDS)
-
-# command -> {dest: default}
-_DEFAULTS = {name: {o.dest: o.default for o in c.options} for name, c in _COMMANDS.items()}
 
 
 def run(config: RunConfig) -> int:

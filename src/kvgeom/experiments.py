@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import pearson, preservation_error, selection_overlap, spearman
 from .errors import ValidationError
 from .eviction import budget, retention_from_scores
 from .report import Report, config_hash
@@ -55,13 +56,10 @@ def _count_needle_hits(retained, needles) -> tuple[int, int]:
     needle_arr = np.asarray(list(needles), dtype=np.int64)
     if needle_arr.size == 0:
         raise ValidationError("needles must be non-empty")
-    hits = 0
-    pairs = 0
-    for b in range(retained.batch):
-        for h in range(retained.heads):
-            hits += int(np.isin(needle_arr, retained.indices[b][h]).sum())
-            pairs += 1
-    return hits, needle_arr.size * pairs
+    # a needle outside [0, seq_len) is a miss in every head, never a wrapped index
+    inside = needle_arr[(needle_arr >= 0) & (needle_arr < retained.seq_len)]
+    hits = int(np.count_nonzero(retained.keep[:, :, inside]))
+    return hits, needle_arr.size * retained.batch * retained.heads
 
 
 def retention_rate(retained, needles) -> float:
@@ -106,8 +104,6 @@ def run_retention(
     hits, total = _count_needle_hits(retained, scenario.needles)
     pres_err = None
     if values is not None:
-        from .attention import preservation_error
-
         q = queries if queries is not None else _scenario_queries(scenario, 8, "needle_probing")
         pres_err = preservation_error(q, scenario.keys, values, retained)
     return RetentionResult(
@@ -328,8 +324,6 @@ def compare_methods(
     queries: KeyTensor | None = None,
 ) -> Report:
     """Pairwise score agreement (pearson/spearman/overlap) plus per-method retention."""
-    from .attention import pearson as _pearson, selection_overlap, spearman as _spearman
-
     specs = list(specs)
     if len(specs) < 2:
         raise ValidationError("need at least 2 scorer specs to compare")
@@ -347,8 +341,8 @@ def compare_methods(
             lb, sb, rb = scored[j]
             rows.append({
                 "row": "pair", "method_a": la, "method_b": lb,
-                "pearson": _pearson(sa.data.ravel(), sb.data.ravel()),
-                "spearman": _spearman(sa.data.ravel(), sb.data.ravel()),
+                "pearson": pearson(sa.data.ravel(), sb.data.ravel()),
+                "spearman": spearman(sa.data.ravel(), sb.data.ravel()),
                 "overlap": selection_overlap(ra, rb),
             })
     if scenario.needles:

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from kvgeom import (
     KeyTensor,
-    RetentionSet,
     ScorerSpec,
     ValidationError,
     attention,
@@ -24,16 +24,26 @@ from kvgeom import (
 )
 from kvgeom.attention import average_ranks, softmax_rows
 
-from conftest import kt, random_tensor, rng
+from conftest import TIE_HEAVY, kt, random_tensor, retention, rng
 
 
 def retain(seq_len, *index_lists):
-    return RetentionSet(
-        batch=1,
-        heads=len(index_lists),
-        seq_len=seq_len,
-        indices=[[np.asarray(ix) for ix in index_lists]],
-    )
+    return retention(seq_len, [index_lists])
+
+
+def loop_average_ranks(x) -> np.ndarray:
+    # the tie-group loop average_ranks replaced: the oracle for its ranks
+    arr = np.asarray(x, dtype=np.float64).ravel()
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(arr.size, dtype=np.float64)
+    i = 0
+    while i < arr.size:
+        j = i
+        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 class TestAttention:
@@ -167,8 +177,8 @@ class TestPreservationError:
         k = KeyTensor(rng(41).normal(size=(batch, heads, seq, dim)))
         v = KeyTensor(rng(42).normal(size=(batch, heads, seq, dv)))
         g = rng(43)
-        retained = RetentionSet(batch=batch, heads=heads, seq_len=seq, indices=[
-            [np.sort(g.permutation(seq)[: int(g.integers(1, seq + 1))]) for _ in range(heads)]
+        retained = retention(seq, [
+            [g.permutation(seq)[: int(g.integers(1, seq + 1))] for _ in range(heads)]
             for _ in range(batch)
         ])
         # the whole-tensor float64 expression the slab loop replaced
@@ -188,8 +198,7 @@ class TestPreservationError:
         q = random_tensor(44, heads=8, seq=16, dim=64)
         k = random_tensor(45, heads=8, seq=4096, dim=64)
         v = random_tensor(46, heads=8, seq=4096, dim=64)
-        retained = RetentionSet(batch=1, heads=8, seq_len=4096,
-                                indices=[[np.arange(0, 4096, 2)] * 8])
+        retained = retention(4096, [[np.arange(0, 4096, 2)] * 8])
         whole = k.data.size * 8  # one whole-tensor float64 copy: 16 MiB
         tracemalloc.start()
         try:
@@ -265,6 +274,20 @@ class TestSpearman:
     def test_average_ranks(self):
         assert np.array_equal(average_ranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0])
 
+    @pytest.mark.parametrize("x", [
+        [0.0, -0.0, 1.0, 1.0, -0.0],
+        [5e-324, -5e-324, 0.0],
+        [],
+        np.round(rng(7).normal(size=5000), 1),
+    ])
+    def test_average_ranks_equal_loop(self, x):
+        assert np.array_equal(average_ranks(x), loop_average_ranks(x))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(TIE_HEAVY, max_size=40))
+    def test_average_ranks_equal_loop_on_ties(self, x):
+        assert np.array_equal(average_ranks(x), loop_average_ranks(x))
+
 
 class TestSelectionOverlap:
     def test_identity(self):
@@ -285,6 +308,12 @@ class TestSelectionOverlap:
     def test_budget_mismatch(self):
         with pytest.raises(ValidationError, match="budget"):
             selection_overlap(retain(6, [0, 1]), retain(6, [0, 1, 2]))
+
+    def test_budget_mismatch_names_the_first_pair(self):
+        ra = retention(6, [[[0, 1], [0]], [[0], [0, 1, 2]], [[0], [0]]])
+        rb = retention(6, [[[2, 3], [1]], [[0], [0, 1]], [[0, 1], [0]]])
+        with pytest.raises(ValidationError, match=r"^budget mismatch at \(batch=1, head=1\): 3 vs 2$"):
+            selection_overlap(ra, rb)
 
     def test_frame_mismatch(self):
         with pytest.raises(ValidationError):

@@ -66,15 +66,13 @@ class TestHelp:
         assert "\n".join(sections) == (DATA / "help_golden.txt").read_text()
 
     def test_every_default_is_documented(self):
-        from kvgeom.cli import _DEFAULTS
-
         parser = build_parser()
         subs = [a for a in parser._actions if hasattr(a, "choices") and a.choices][0].choices
         for name in COMMANDS:
             text = " ".join(subs[name].format_help().split())
-            for dest, default in _DEFAULTS[name].items():
-                if default is not None:
-                    assert f"(default: {default})" in text, (name, dest)
+            for o in cli._COMMANDS[name].options:
+                if o.default is not None:
+                    assert f"(default: {o.default})" in text, (name, o.dest)
 
     def test_method_choices_are_the_scorer_table(self):
         rows = [(name, o) for name, c in cli._COMMANDS.items() for o in c.options

@@ -18,7 +18,7 @@ from kvgeom import (
     topk_select,
 )
 
-from conftest import random_tensor, rng
+from conftest import random_tensor, retention, rng
 
 
 def brute_force_topk(scores, m):
@@ -106,36 +106,48 @@ class TestTopkSelect:
 class TestRetentionSet:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            RetentionSet(batch=1, heads=1, seq_len=4, indices=[[np.array([0, 0])]])
+            RetentionSet(np.ones((1, 1, 4, 1), dtype=bool))
         with pytest.raises(ValidationError):
-            RetentionSet(batch=1, heads=1, seq_len=4, indices=[[np.array([4])]])
+            RetentionSet(np.zeros((2, 3, 4), dtype=bool))
         with pytest.raises(ValidationError):
-            RetentionSet(batch=1, heads=2, seq_len=4, indices=[[np.array([0])]])
+            RetentionSet([[[1, 0]]])  # a 0/1 int list is not a mask either
+        assert RetentionSet([[[True, False]]]).keep.tolist() == [[[True, False]]]
 
-    def test_sorts_indices(self):
-        given = np.array([3, 0, 2])
-        r = RetentionSet(batch=1, heads=1, seq_len=5, indices=[[given]])
-        assert np.array_equal(r.indices[0][0], [0, 2, 3])
-        assert np.array_equal(given, [3, 0, 2])  # sorted in its own copy
-
-    @pytest.mark.parametrize("idx, message", [
-        ([3, 1, 3], "retained indices must be unique"),
-        ([2, 2], "retained indices must be unique"),
-        ([9, -1, 9], "retained indices must be unique"),  # duplicates are named first
-        ([0, 5], r"retained index out of range \[0, 5\)"),
-        ([4, -1], r"retained index out of range \[0, 5\)"),
-        ([], "each head must retain at least one token"),
-    ])
-    def test_rejections_name_the_fault(self, idx, message):
+    @pytest.mark.parametrize("keep, message", [
+        (np.array([[[0, 2]]]), "keep must be a bool mask, got dtype int64"),
+        (np.array([[[0.0, 1.0]]]), "keep must be a bool mask, got dtype float64"),
+        (np.ones((2, 3), dtype=bool), r"expected 3 axes \(batch, heads, seq\), got 2"),
+        (np.ones((1, 2, 0), dtype=bool), r"all axes must be >= 1, got shape \(1, 2, 0\)"),
+        (np.array([[[True, False], [False, False]]]), "each head must retain at least one token"),
+    ], ids=["int", "float", "two-axes", "empty-axis", "empty-head"])
+    def test_rejections_name_the_fault(self, keep, message):
         with pytest.raises(ValidationError, match=message):
-            RetentionSet(batch=1, heads=1, seq_len=5, indices=[[np.array(idx, dtype=np.int64)]])
+            RetentionSet(keep)
+
+    def test_never_aliases_or_freezes_the_callers_array(self):
+        given = np.array([[[True, False, True], [False, True, False]]])
+        r = RetentionSet(given)
+        assert given.flags.writeable and not np.shares_memory(r.keep, given)
+        given[0, 0] = False
+        assert r.keep[0, 0].tolist() == [True, False, True]
+        with pytest.raises(ValueError):
+            r.keep[0, 0, 1] = True
+        base = np.ones((1, 2, 3), dtype=bool)
+        view = base[:, ::-1]  # a read-only view is copied too
+        view.flags.writeable = False
+        assert not np.shares_memory(RetentionSet(view).keep, base)
+
+    def test_shape_counts_and_indices(self):
+        r = retention(6, [[[1, 3, 5], [2]], [[0], [0, 1, 2, 3, 4, 5]]])
+        assert (r.batch, r.heads, r.seq_len) == (2, 2, 6)
+        assert r.counts.dtype == np.int64 and r.counts.tolist() == [[3, 1], [1, 6]]
+        assert r.indices[0][0].dtype == np.int64
+        assert [[i.tolist() for i in row] for row in r.indices] == [
+            [[1, 3, 5], [2]], [[0], [0, 1, 2, 3, 4, 5]]
+        ]
 
     def test_to_json_obj(self):
-        r = RetentionSet(
-            batch=2, heads=2, seq_len=6,
-            indices=[[np.array([1, 0]), np.array([2, 3])],
-                     [np.array([4, 5]), np.array([1, 2])]],
-        )
+        r = retention(6, [[[1, 0], [2, 3]], [[4, 5], [1, 2]]])
         obj = r.to_json_obj()
         assert obj == [
             {"batch": 0, "head": 0, "indices": [0, 1]},
@@ -154,11 +166,7 @@ class TestRetentionSet:
 
 class TestCompressCache:
     def _full_retention(self, t):
-        idx = np.arange(t.seq_len)
-        return RetentionSet(
-            batch=t.batch, heads=t.heads, seq_len=t.seq_len,
-            indices=[[idx for _ in range(t.heads)] for _ in range(t.batch)],
-        )
+        return RetentionSet(np.ones(t.shape[:3], dtype=bool))
 
     def test_retain_all_is_identity(self):
         k = random_tensor(0, batch=2, heads=2, seq=6, dim=3)
@@ -170,7 +178,7 @@ class TestCompressCache:
     def test_retain_single_row(self):
         k = random_tensor(2, seq=5)
         v = random_tensor(3, seq=5)
-        r = RetentionSet(batch=1, heads=1, seq_len=5, indices=[[np.array([0])]])
+        r = retention(5, [[[0]]])
         out = compress_cache(k, v, r)
         assert out.keys.seq_len == 1
         assert np.array_equal(out.keys.data[0, 0, 0], k.data[0, 0, 0])
@@ -178,7 +186,7 @@ class TestCompressCache:
     def test_original_order_preserved(self):
         k = random_tensor(4, seq=5)
         v = random_tensor(5, seq=5)
-        r = RetentionSet(batch=1, heads=1, seq_len=5, indices=[[np.array([2, 0])]])
+        r = retention(5, [[[2, 0]]])
         out = compress_cache(k, v, r)
         assert np.array_equal(out.keys.data[0, 0, 0], k.data[0, 0, 0])
         assert np.array_equal(out.keys.data[0, 0, 1], k.data[0, 0, 2])
@@ -186,10 +194,7 @@ class TestCompressCache:
     def test_uneven_budgets_padded_and_masked(self):
         k = random_tensor(6, heads=2, seq=6)
         v = random_tensor(7, heads=2, seq=6)
-        r = RetentionSet(
-            batch=1, heads=2, seq_len=6,
-            indices=[[np.array([1, 3, 5]), np.array([2])]],
-        )
+        r = retention(6, [[[1, 3, 5], [2]]])
         out = compress_cache(k, v, r)
         assert out.keys.seq_len == 3
         assert out.mask[0, 0].tolist() == [True, True, True]

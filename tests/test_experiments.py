@@ -3,7 +3,6 @@ import pytest
 import scipy.stats
 
 from kvgeom import (
-    RetentionSet,
     ScorerSpec,
     ValidationError,
     budget,
@@ -21,16 +20,13 @@ from kvgeom import (
     window_ablation,
 )
 
-from conftest import rng
+from kvgeom.experiments import _count_needle_hits
+
+from conftest import retention, rng
 
 
 def retain(seq_len, *index_lists):
-    return RetentionSet(
-        batch=1,
-        heads=len(index_lists),
-        seq_len=seq_len,
-        indices=[[np.asarray(ix) for ix in index_lists]],
-    )
+    return retention(seq_len, [index_lists])
 
 
 class TestRetentionRate:
@@ -46,6 +42,12 @@ class TestRetentionRate:
     def test_head_average(self):
         r = retain(10, [1, 2], [3, 4])
         assert retention_rate(r, [1, 2]) == pytest.approx(0.5)
+
+    def test_needles_outside_the_sequence_are_misses(self):
+        # -1 must not wrap to the last token, nor 10 raise
+        r = retain(10, [0, 9], [9])
+        assert _count_needle_hits(r, [-1, 10, 9, 9]) == (4, 8)
+        assert retention_rate(r, [-1]) == 0.0
 
     def test_empty_needles_rejected(self):
         with pytest.raises(ValidationError):

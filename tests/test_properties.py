@@ -1,18 +1,17 @@
 """Property-based checks for the small algebraic contracts and the bulk I/O paths."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvgeom import (
+    BudgetPlan,
     KeyTensor,
     Report,
-    RetentionSet,
     ScoreTensor,
     ValidationError,
+    compress_cache,
     hybrid_score,
     keydiff_score,
     knorm_score,
@@ -20,12 +19,19 @@ from kvgeom import (
     lp_score,
     manifold_score,
     normalized_manifold_score,
+    preservation_error,
+    retention_from_scores,
     save_kvt,
+    selection_overlap,
     topk_select,
     windowed_manifold_score,
 )
+from kvgeom.attention import _slab_weights
+from kvgeom.experiments import _count_needle_hits
 from kvgeom.report import TOOL_VERSION, Columns, _format_cell
 from kvgeom.scorers import NORM_EPS
+
+from conftest import TIE_HEAVY
 
 finite_f32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32
@@ -230,12 +236,7 @@ def test_inplace_kernels_equal_replaced_expressions_at_size(shape, window):
     _assert_kernels_equal_replaced_expressions(data, window)
 
 
-# ------------------------------------------------ partition top-k and the retention check
-
-TIE_HEAVY = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324, 1e308, -1e308]) | (
-    st.floats(-3, 3).map(lambda x: round(x, 1))
-)
-
+# ------------------------------------------------ partition top-k and the retention mask
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(TIE_HEAVY, min_size=1, max_size=300), st.data())
@@ -248,38 +249,88 @@ def test_topk_equals_stable_argsort_oracle(scores, draw):
     assert np.array_equal(got, oracle)
 
 
-def _unique_check_oracle(idx, seq_len):
-    # the check the linear pass replaced: the message it raises, or the sorted indices
-    arr = np.asarray(idx, dtype=np.int64).ravel()
-    if arr.size < 1:
-        return "each head must retain at least one token"
-    if np.unique(arr).size != arr.size:
-        return "retained indices must be unique"
-    if arr.min() < 0 or arr.max() >= seq_len:
-        return f"retained index out of range [0, {seq_len})"
-    return np.sort(arr)
+def _list_compress(keys, values, indices):
+    # the per-head index-list gather compress_cache replaced
+    budgets = [[len(i) for i in row] for row in indices]
+    max_budget = max(max(row) for row in budgets)
+    out_k = np.zeros((keys.batch, keys.heads, max_budget, keys.head_dim), dtype=np.float32)
+    out_v = np.zeros((keys.batch, keys.heads, max_budget, values.head_dim), dtype=np.float32)
+    mask = np.zeros((keys.batch, keys.heads, max_budget), dtype=bool)
+    for b in range(keys.batch):
+        for h in range(keys.heads):
+            idx = indices[b][h]
+            out_k[b, h, : len(idx)] = keys.data[b, h, idx]
+            out_v[b, h, : len(idx)] = values.data[b, h, idx]
+            mask[b, h, : len(idx)] = True
+    return out_k, out_v, mask
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.integers(-3, 12), max_size=14) | st.lists(st.integers(0, 11), unique=True),
-    st.integers(1, 12),
-    st.booleans(),
-)
-def test_retention_check_equals_unique_oracle(idx, seq_len, sort_first):
-    if sort_first:
-        idx = sorted(idx)
-    given_arr = np.asarray(idx, dtype=np.int64)
-    expected = _unique_check_oracle(given_arr, seq_len)
-    if isinstance(expected, str):
-        with pytest.raises(ValidationError, match=re.escape(expected)):
-            RetentionSet(batch=1, heads=1, seq_len=seq_len, indices=[[given_arr]])
-    else:
-        kept = RetentionSet(batch=1, heads=1, seq_len=seq_len, indices=[[given_arr]])
-        assert kept.indices[0][0].dtype == np.int64
-        assert np.array_equal(kept.indices[0][0], expected)
-        assert not np.shares_memory(kept.indices[0][0], given_arr)
-    assert np.array_equal(given_arr, idx)  # the caller's array is never sorted in place
+def _list_needle_hits(indices, needles):
+    needle_arr = np.asarray(needles, dtype=np.int64)
+    hits = sum(int(np.isin(needle_arr, idx).sum()) for row in indices for idx in row)
+    return hits, needle_arr.size * sum(len(row) for row in indices)
+
+
+def _list_overlap(ia, ib):
+    fractions = [
+        len(np.intersect1d(a, b, assume_unique=True)) / len(a)
+        for row_a, row_b in zip(ia, ib) for a, b in zip(row_a, row_b)
+    ]
+    return float(np.mean(fractions))
+
+
+def _list_preservation_error(q, k, v, indices):
+    full = np.empty(q.shape[:3] + (v.head_dim,))
+    kept = np.empty_like(full)
+    for bi in range(k.batch):
+        for hi in range(k.heads):
+            qs, ks, vs = q.matrix(bi, hi), k.matrix(bi, hi), v.matrix(bi, hi)
+            np.matmul(_slab_weights(qs, ks), vs, out=full[bi, hi])
+            idx = indices[bi][hi]
+            np.matmul(_slab_weights(qs, ks[idx]), vs[idx], out=kept[bi, hi])
+    return float(np.linalg.norm(full - kept) / np.linalg.norm(full))
+
+
+@st.composite
+def score_grids(draw):
+    # tie-heavy (batch, heads, n) scores: every entry from a small pool that holds
+    # +-0.0, and mixed budgets per head (or one BudgetPlan row for every batch row)
+    b, h, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    pool = [-0.0, 0.0] + draw(st.lists(TIE_HEAVY, min_size=1, max_size=4))
+    g = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32))))
+    scores = np.array(pool)[g.integers(0, len(pool), size=(b, h, n))]
+    if draw(st.booleans()):
+        return scores, BudgetPlan("uniform", 0.0, g.integers(1, n + 1, size=h))
+    return scores, g.integers(1, n + 1, size=(b, h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(score_grids(), st.lists(st.integers(-2, 18), min_size=1, max_size=5), st.integers(0, 99))
+def test_batched_retention_equals_list_oracles(grid, needles, seed):
+    scores, budgets = grid
+    r = retention_from_scores(ScoreTensor(scores), budgets)
+    per = np.broadcast_to(getattr(budgets, "per_head", budgets), scores.shape[:2])
+    indices = [[np.sort(np.argsort(-scores[b, h], kind="stable")[: per[b, h]])
+                for h in range(scores.shape[1])] for b in range(scores.shape[0])]
+    for b, h in np.ndindex(per.shape):
+        assert np.array_equal(r.indices[b][h], indices[b][h])
+    assert np.array_equal(r.counts, per)
+
+    # every consumer of the mask equals its old per-head index-list loop
+    g = np.random.Generator(np.random.Philox(seed))
+    keys = KeyTensor(g.normal(size=scores.shape + (3,)))
+    values = KeyTensor(g.normal(size=scores.shape + (2,)))
+    queries = KeyTensor(g.normal(size=scores.shape[:2] + (2, 3)))
+    out = compress_cache(keys, values, r)
+    out_k, out_v, mask = _list_compress(keys, values, indices)
+    assert np.array_equal(out.keys.data, out_k) and np.array_equal(out.values.data, out_v)
+    assert np.array_equal(out.mask, mask)
+    assert _count_needle_hits(r, needles) == _list_needle_hits(indices, needles)
+    other = retention_from_scores(ScoreTensor(g.permutation(scores, axis=2)), budgets)
+    assert selection_overlap(r, other) == _list_overlap(indices, other.indices)
+    assert preservation_error(queries, keys, values, r) == _list_preservation_error(
+        queries, keys, values, indices
+    )
 
 
 # ------------------------------------------------ tensors never take over a caller's array
