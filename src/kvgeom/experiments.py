@@ -78,7 +78,12 @@ def _auto_queries(scenario: Scenario, spec: ScorerSpec) -> KeyTensor | None:
     if spec.method != "obs_attention":
         return None
     mode = "needle_probing" if scenario.needles else "random"
-    return _scenario_queries(scenario, spec.obs_window, mode)
+    queries = _scenario_queries(scenario, spec.obs_window, mode)
+    frame = scenario.keys.shape[:2]
+    if queries.shape[:2] == frame:
+        return queries
+    # the same drawn queries for every (batch, head) of a multi-head key tensor
+    return KeyTensor(np.broadcast_to(queries.data, frame + queries.shape[2:]))
 
 
 def run_retention(

@@ -7,16 +7,21 @@ Three complementary estimators:
   * k-NN MLE: mean over points of [mean_j log(r_k / r_j)]^-1.
 
 Neighbor search is exact and brute-force in float64: O(n^2) time, done in
-row tiles of about 16 MiB of distances held in two buffers that every tile
-reuses, so memory is O(tile*n + n*k) rather than an n x n matrix. Squared
-distances that rounding makes negative (near-duplicates) are clamped to 0
-only in the k selected columns; clamping is monotone, so no bit changes.
+row tiles of about 16 MiB of distances. Up to two worker threads (fewer when
+fewer CPUs are usable or the cloud has fewer tiles) each own one tile buffer
+and take every other tile, so memory is O(2*tile*n + n*k) rather than an
+n x n matrix. Every tile is the same row block whatever the worker count, so
+the table does not depend on the number of CPUs. Squared distances that
+rounding makes negative (near-duplicates) are clamped to 0 only in the k
+selected columns; clamping is monotone, so no bit changes.
 Duplicates (r1 < 1e-12) are discarded and counted. This targets desk-scale
 clouds, not production indexes.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,11 @@ DUPLICATE_EPS = 1e-12
 # Float64 distances held per row tile of the neighbor search (16 MiB):
 # 256 rows at n = 8192.
 TILE_ELEMENTS = 2**21
+# Tiles in flight at once, one per worker thread: the memory bound above.
+MAX_WORKERS = 2
+# Float64 elements of a worker's scratch strip of squared norms (256 KiB):
+# 4 rows at n = 8192.
+STRIP_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -82,35 +92,66 @@ def pca_effective_dim(points, threshold: float = 0.95) -> int:
     return int(np.searchsorted(cum, threshold - 1e-12) + 1)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _nn_tile(points, sq, s, k, g, strip, out) -> None:
+    """Sorted squared k-NN distances of rows s:e into out[s:e], computed in
+    the (e - s, n) tile buffer g with a small strip for the squared norms."""
+    e = s + g.shape[0]
+    np.matmul(points[s:e], points.T, out=g)
+    g *= 2.0
+    for c in range(0, e - s, strip.shape[0]):
+        ce = min(c + strip.shape[0], e - s)
+        t = strip[: ce - c]
+        np.add(sq[s + c : s + ce, None], sq[None, :], out=t)
+        np.subtract(t, g[c:ce], out=g[c:ce])
+    np.fill_diagonal(g[:, s:], np.inf)
+    g.partition(k - 1, axis=1)
+    part = out[s:e]
+    np.maximum(g[:, :k], 0.0, out=part)
+    part.sort(axis=1)
+
+
 def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) matrix of each point's k smallest neighbor distances, ascending.
 
-    Exact, one tile of rows at a time, in two tile buffers reused by every
-    tile. Each tile's squared distances use the same operations in the same
-    order as the whole n x n matrix would, so the table equals the whole
-    matrix's wherever the BLAS gives a row block of `points @ points.T` the
-    bits of the same rows of the whole product. Negative squared distances
-    are clamped to 0 after selection: clamping is monotone, so the k
-    smallest clamped values are the clamped k smallest values.
+    Exact, one tile of rows at a time, on min(MAX_WORKERS, usable CPUs,
+    tiles) threads, each owning one tile buffer and strip allocated here and
+    taking every other tile; a cloud of one tile runs inline. Tiles start at
+    0, rows, 2*rows, ... whatever the worker count, so the BLAS sees the same
+    row blocks and the table has the same bits on any number of CPUs. Each
+    tile's squared distances use the same operations in the same order as
+    the whole n x n matrix would, so the table equals the whole matrix's
+    wherever the BLAS gives a row block of `points @ points.T` the bits of
+    the same rows of the whole product. Negative squared distances are
+    clamped to 0 after selection: clamping is monotone, so the k smallest
+    clamped values are the clamped k smallest values.
     """
     n = points.shape[0]
     rows = min(n, max(1, TILE_ELEMENTS // n))
+    starts = range(0, n, rows)
+    workers = min(MAX_WORKERS, _usable_cpus(), len(starts))
     sq = (points**2).sum(axis=1)
-    gram = np.empty((rows, n))
-    dist = np.empty((rows, n))
     out = np.empty((n, k))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        g, d2 = gram[: e - s], dist[: e - s]
-        np.matmul(points[s:e], points.T, out=g)
-        g *= 2.0
-        np.add(sq[s:e, None], sq[None, :], out=d2)
-        d2 -= g
-        np.fill_diagonal(d2[:, s:], np.inf)
-        d2.partition(k - 1, axis=1)
-        part = out[s:e]
-        np.maximum(d2[:, :k], 0.0, out=part)
-        part.sort(axis=1)
+    strip_rows = min(rows, max(1, STRIP_ELEMENTS // n))
+    buffers = [(np.empty((rows, n)), np.empty((strip_rows, n))) for _ in range(workers)]
+
+    def search(w: int) -> None:
+        g, strip = buffers[w]
+        for s in starts[w::workers]:
+            _nn_tile(points, sq, s, k, g[: n - s], strip, out)
+
+    if workers == 1:
+        search(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(search, w) for w in range(workers)]:
+                done.result()
     return np.sqrt(out, out=out)
 
 

@@ -573,6 +573,16 @@ class TestCompareCommand:
         rows = read_report_csv(out)
         assert all(r["row"] == "pair" for r in rows)  # no needles, no retention rows
 
+    def test_compare_draws_queries_for_a_multi_head_tensor(self, capsys, tmp_path):
+        keys, out = tmp_path / "k.kvt", tmp_path / "cmp.csv"
+        save_kvt(random_tensor(3, batch=2, heads=4, seq=512, dim=32), keys)
+        code, _, err = run_cli(
+            capsys, "compare", "--input", str(keys),
+            "--methods", "manifold,obs_attention", "--obs-window", "4", "--out", str(out),
+        )
+        assert code == 0, err
+        assert [r["row"] for r in read_report_csv(out)] == ["pair"]
+
     def test_compare_needs_enough_methods(self, capsys, keys_file, tmp_path):
         code, _, err = run_cli(
             capsys, "compare", "--input", str(keys_file), "--methods", "manifold",

@@ -303,6 +303,50 @@ class TestTiledNeighborSearch:
         for k in (2, 10, n - 1):
             assert np.array_equal(manifold._sorted_nn_dists(points, k), full[:, :k])
 
+    @staticmethod
+    def _table_on(cpus, points, k):
+        with mock.patch.object(manifold, "_usable_cpus", return_value=cpus):
+            return manifold._sorted_nn_dists(points, k)
+
+    @pytest.mark.parametrize("n", TILE_BOUNDARY_SIZES)
+    def test_table_does_not_depend_on_the_worker_count(self, n):
+        # normal coordinates, so the BLAS rounds: only equal row blocks give equal bits
+        points = np.random.default_rng(n).normal(size=(n, 5)) * 3.0
+        one = self._table_on(1, points, 3)
+        assert np.array_equal(self._table_on(2, points, 3), one)
+
+    @settings(max_examples=12, deadline=None)
+    @given(dyadic_clouds())
+    def test_dyadic_table_does_not_depend_on_the_worker_count(self, cloud):
+        points, k = cloud
+        assert np.array_equal(self._table_on(2, points, k), self._table_on(1, points, k))
+
+    def test_one_tile_starts_no_thread(self):
+        points = np.random.default_rng(0).normal(size=(ONE_TILE, 4))
+        no_pool = mock.Mock(side_effect=AssertionError("a one-tile search started a thread"))
+        with mock.patch.object(manifold, "ThreadPoolExecutor", no_pool):
+            self._table_on(8, points, 2)
+
+    def test_never_more_than_two_workers(self):
+        ragged = TILE_BOUNDARY_SIZES[2]  # three tiles
+        points = np.random.default_rng(0).normal(size=(ragged, 2))
+        with mock.patch.object(
+            manifold, "ThreadPoolExecutor", wraps=manifold.ThreadPoolExecutor
+        ) as pool:
+            self._table_on(64, points, 2)
+        pool.assert_called_once_with(max_workers=2)
+
+    def test_worker_errors_propagate(self):
+        points = np.random.default_rng(0).normal(size=(ONE_TILE + 1, 2))
+
+        def fail_on_second_tile(points, sq, s, *args):
+            if s > 0:
+                raise FloatingPointError("tile failed")
+
+        with mock.patch.object(manifold, "_nn_tile", fail_on_second_tile):
+            with pytest.raises(FloatingPointError, match="tile failed"):
+                self._table_on(2, points, 2)
+
     def test_search_holds_two_tile_buffers(self):
         n, k = 8192, 10
         points = np.random.default_rng(0).normal(size=(n, 8))
