@@ -282,21 +282,24 @@ def _cmd_score(opts) -> int:
         rows=rows,
         metadata={"method": spec.label(), "config_hash": config_hash(params)},
     )
+    # built, and checked against the float32 range, before any output is written
+    score_kvt = scores.to_key_tensor() if opts.get("out_kvt") else None
     report.write(opts["out"], "csv")
-    if opts.get("out_kvt"):
-        save_kvt(scores.to_key_tensor(), opts["out_kvt"])
+    if score_kvt is not None:
+        save_kvt(score_kvt, opts["out_kvt"])
     print(f"score: wrote {opts['out']} ({len(rows)} rows, method={spec.label()})")
     return 0
 
 
 def _cmd_compress(opts) -> int:
-    keys = load_kvt(opts["keys"])
-    values = load_kvt(opts["values"])
+    cache = [load_kvt(opts["keys"]), load_kvt(opts["values"])]
     spec = _scorer_spec(opts)
-    scores = compute_scores(spec, keys, queries=_load_queries(opts, [spec.method]))
+    scores = compute_scores(spec, cache[0], queries=_load_queries(opts, [spec.method]))
     plan = allocate_head_budgets(scores, opts["rho"], opts["mode"])
     retained = retention_from_scores(scores, plan)
-    compressed = compress_cache(keys, values, retained)
+    # the pops hand compress_cache the only references to keys and values,
+    # so it can free the keys before it allocates the values' output
+    compressed = compress_cache(cache.pop(0), cache.pop(), retained)
     save_kvt(compressed.keys, opts["out_keys"])
     save_kvt(compressed.values, opts["out_values"])
     with open(opts["out_mask"], "w", encoding="utf-8") as fh:
@@ -307,7 +310,7 @@ def _cmd_compress(opts) -> int:
             json.dump(retained.to_json_obj(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(
-        f"compress: {keys.seq_len} -> {compressed.keys.seq_len} tokens/head "
+        f"compress: {retained.seq_len} -> {compressed.keys.seq_len} tokens/head "
         f"(rho={opts['rho']}, mode={opts['mode']}, method={spec.label()})"
     )
     return 0

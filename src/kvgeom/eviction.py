@@ -127,7 +127,13 @@ class CompressedCache:
 
 
 def compress_cache(keys: KeyTensor, values: KeyTensor, retained: RetentionSet) -> CompressedCache:
-    """Keep only the retained rows of the key/value tensors."""
+    """Keep only the retained rows of the key/value tensors.
+
+    Gathers the keys, then the values, and drops its reference to the keys
+    before it allocates the values' output: a caller that passes its only
+    references holds at most three cache-sized arrays (keys, values and the
+    keys' output, then values and both outputs), not four.
+    """
     if (keys.batch, keys.heads, keys.seq_len) != (values.batch, values.heads, values.seq_len):
         raise ValidationError(
             f"key shape {keys.shape} incompatible with value shape {values.shape}"
@@ -136,17 +142,24 @@ def compress_cache(keys: KeyTensor, values: KeyTensor, retained: RetentionSet) -
         raise ValidationError("retention set frame does not match tensors")
     counts = retained.counts
     mask = np.arange(counts.max()) < counts[..., None]
-    out_k = np.zeros(mask.shape + (keys.head_dim,), dtype=np.float32)
-    out_v = np.zeros(mask.shape + (values.head_dim,), dtype=np.float32)
-    # one row gather per (batch, head): measured faster than take_along_axis
-    # over an argsort and lighter than one flat boolean gather of the tensor
-    for b, h in np.ndindex(counts.shape):
-        keep = retained.keep[b, h]
-        out_k[b, h, : counts[b, h]] = keys.data[b, h, keep]
-        out_v[b, h, : counts[b, h]] = values.data[b, h, keep]
+    out_keys = _gather(keys, retained.keep, counts)
+    del keys
     return CompressedCache(
-        keys=KeyTensor(freeze(out_k)), values=KeyTensor(freeze(out_v)), mask=mask
+        keys=out_keys, values=_gather(values, retained.keep, counts), mask=mask
     )
+
+
+def _gather(t: KeyTensor, keep: np.ndarray, counts: np.ndarray) -> KeyTensor:
+    """The kept rows of each (batch, head) of `t`, zero-padded to the largest count."""
+    out = np.zeros(counts.shape + (counts.max(), t.head_dim), dtype=np.float32)
+    # one row gather per (batch, head), measured faster than take_along_axis
+    # over an argsort and lighter than one flat boolean gather of the tensor;
+    # `take` writes straight into `out` (mode "raise" would buffer it, and
+    # no index of flatnonzero needs clipping)
+    for b, h in np.ndindex(counts.shape):
+        rows = np.flatnonzero(keep[b, h])
+        np.take(t.data[b, h], rows, axis=0, out=out[b, h, : rows.size], mode="clip")
+    return KeyTensor(freeze(out))
 
 
 @dataclass(frozen=True)

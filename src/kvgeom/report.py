@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TOOL_VERSION = "0.1.0"
+# CSV rows formatted and written at a time, so a large report is never
+# held as text all at once
+CSV_BLOCK_ROWS = 2**14
 
 
 def config_hash(obj) -> str:
@@ -48,10 +51,19 @@ def _format_column(values) -> list:
     """Every cell of one column as CSV text, as `_format_cell` formats it.
 
     A numpy column of integers or floats is formatted in one pass (`str` of
-    each int, `repr` of each float); any other column cell by cell.
+    each int, `repr` of each float); any other column cell by cell. Integers
+    spanning fewer values than the column has cells are formatted once per
+    value in that span and looked up.
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind in ("i", "u"):
+        if values.size and int(values.max()) - int(values.min()) < values.size:
+            # widened, so the offsets from the minimum cannot wrap (an int8
+            # column can span 255)
+            wide = values.astype(np.int64 if kind == "i" else np.uint64, copy=False)
+            lo = wide.min()
+            table = np.array(list(map(str, range(int(lo), int(wide.max()) + 1))), dtype=object)
+            return table[wide - lo].tolist()
         return list(map(str, values.tolist()))
     if kind == "f":
         return list(map(repr, values.astype(np.float64, copy=False).tolist()))
@@ -101,14 +113,22 @@ class Report:
             return self.rows.data.get(name, [""] * len(self.rows))
         return [row.get(name, "") for row in self.rows]
 
-    def to_csv_text(self) -> str:
+    def _csv_blocks(self):
+        """The CSV text in pieces: the header lines, then CSV_BLOCK_ROWS rows at a time."""
         lines = [f"# tool_version={TOOL_VERSION}"]
         for key in sorted(self.metadata):
             lines.append(f"# {key}={_format_cell(self.metadata[key])}")
         lines.append(",".join(self.columns))
-        cells = [_format_column(self._column(c)) for c in self.columns]
-        lines.extend(map(",".join, zip(*cells)))
-        return "\n".join(lines) + "\n"
+        yield "\n".join(lines) + "\n"
+        columns = [self._column(c) for c in self.columns]
+        for s in range(0, len(self.rows), CSV_BLOCK_ROWS):
+            cells = [_format_column(values[s : s + CSV_BLOCK_ROWS]) for values in columns]
+            lines = list(map(",".join, zip(*cells)))
+            lines.append("")  # ends the last row
+            yield "\n".join(lines)
+
+    def to_csv_text(self) -> str:
+        return "".join(self._csv_blocks())
 
     def to_json_text(self) -> str:
         obj = {
@@ -131,6 +151,6 @@ class Report:
         return json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
 
     def write(self, path, fmt: str = "csv") -> None:
-        text = self.to_csv_text() if fmt == "csv" else self.to_json_text()
+        blocks = self._csv_blocks() if fmt == "csv" else [self.to_json_text()]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)

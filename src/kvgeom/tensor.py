@@ -146,8 +146,20 @@ class ScoreTensor:
         return self.data.shape[2]
 
     def to_key_tensor(self) -> KeyTensor:
-        """Repack as a KeyTensor with head_dim = 1 (for KVT1 serialization)."""
-        return KeyTensor(self.data[..., None])
+        """Repack as a KeyTensor with head_dim = 1 (for KVT1 serialization).
+
+        Raises ValidationError when a score lies beyond the float32 range.
+        """
+        out = np.empty(self.data.shape + (1,), dtype=np.float32)
+        # scores beyond float32 range become inf here, and are refused below
+        with np.errstate(over="ignore"):
+            np.copyto(out[..., 0], self.data, casting="same_kind")
+        if not all_finite(out):
+            limit = float(np.finfo(np.float32).max)
+            raise ValidationError(
+                f"scores exceed the float32 range of a KVT1 tensor (|score| <= {limit:.7g})"
+            )
+        return KeyTensor(freeze(out))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreTensor):

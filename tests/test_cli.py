@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from kvgeom import (
     METHODS,
+    KeyTensor,
     SCENARIO_KINDS,
     ScorerSpec,
     compute_scores,
@@ -31,8 +32,9 @@ from kvgeom import (
 from kvgeom import cli
 from kvgeom.cli import COMMANDS, build_parser, main, parse_config
 from kvgeom.scorers import METHOD_TABLE
+from kvgeom.tensor import freeze
 
-from conftest import random_tensor
+from conftest import random_tensor, rng
 
 DATA = Path(__file__).parent / "data"
 
@@ -401,6 +403,24 @@ class TestScoreCommand:
         got = float(rows[5]["score"])
         assert got == pytest.approx(expected[0, 0, 5], rel=1e-12)
 
+    def test_scores_beyond_float32_range_write_nothing(self, tmp_path):
+        # |score| ~ 6e38 does not fit the --out-kvt tensor; in a subprocess,
+        # so a numpy warning would reach stderr
+        keys = np.full((1, 1, 8, 4), 3e38, dtype=np.float32)
+        keys[0, 0, ::2] *= -1
+        save_kvt(KeyTensor(keys), tmp_path / "big.kvt")
+        out, out_kvt = tmp_path / "s.csv", tmp_path / "s.kvt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvgeom", "score", "--input", str(tmp_path / "big.kvt"),
+             "--method", "manifold", "--out", str(out), "--out-kvt", str(out_kvt)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        _assert_documented_exit(proc.returncode, proc.stderr)
+        assert "float32 range" in json.loads(proc.stderr)["message"]
+        assert not out.exists() and not out_kvt.exists()
+
 
 class TestCompressCommand:
     def test_artifacts(self, capsys, keys_file, tmp_path):
@@ -421,6 +441,30 @@ class TestCompressCommand:
         retained = json.loads(outs["r.json"].read_text())
         assert len(retained) == 2
         assert all(len(r["indices"]) == 6 for r in retained)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                         reason="before 3.11 the caller's stack keeps call arguments alive")
+    def test_peak_is_three_cache_tensors(self, capsys, tmp_path):
+        # rho 0 keeps every token, so each output is as large as its input;
+        # holding keys, values and both outputs at once would reach 4 tensors
+        shape = (1, 8, 2048, 32)
+        for seed, name in enumerate(("keys.kvt", "values.kvt")):
+            save_kvt(KeyTensor(freeze(rng(seed).standard_normal(shape, dtype=np.float32))),
+                     tmp_path / name)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "compress", "--keys", str(tmp_path / "keys.kvt"),
+                "--values", str(tmp_path / "values.kvt"), "--rho", "0",
+                "--out-keys", str(tmp_path / "k.kvt"), "--out-values", str(tmp_path / "v.kvt"),
+                "--out-mask", str(tmp_path / "m.json"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert load_kvt(tmp_path / "v.kvt").shape == shape
+        assert peak <= 3.25 * 4 * math.prod(shape)
 
 
 class TestGenCommand:

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from kvgeom import (
     BudgetPlan,
+    KeyTensor,
     RetentionSet,
     ScoreTensor,
     ValidationError,
@@ -17,6 +20,7 @@ from kvgeom import (
     retention_from_scores,
     topk_select,
 )
+from kvgeom.tensor import freeze
 
 from conftest import random_tensor, retention, rng
 
@@ -230,6 +234,26 @@ class TestCompressCache:
                 w = np.exp(logits - logits.max(axis=1, keepdims=True))
                 w /= w.sum(axis=1, keepdims=True)
                 assert via_cache[0, h] == pytest.approx(w @ vf, rel=1e-5, abs=1e-8)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                         reason="before 3.11 the caller's stack keeps call arguments alive")
+    def test_peak_is_three_tensors_given_the_only_references(self):
+        # keeping every token makes each output as large as its input
+        shape = (1, 4, 4096, 32)
+        retained = RetentionSet(np.ones(shape[:3], dtype=bool))
+        tracemalloc.start()
+        try:
+            cache = [KeyTensor(freeze(rng(seed).standard_normal(shape, dtype=np.float32)))
+                     for seed in (0, 1)]
+            held = tracemalloc.get_traced_memory()[0]  # keys and values, 2 tensors
+            tracemalloc.reset_peak()
+            out = compress_cache(cache.pop(0), cache.pop(), retained)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.shape == shape
+        # 3.25 tensors in all; keys, values and both outputs at once would be 4
+        assert peak - held <= 1.25 * 4 * math.prod(shape)
 
 
 class TestAllocateHeadBudgets:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvgeom import (
@@ -28,7 +28,7 @@ from kvgeom import (
 )
 from kvgeom.attention import _slab_weights
 from kvgeom.experiments import _count_needle_hits
-from kvgeom.report import TOOL_VERSION, Columns, _format_cell
+from kvgeom.report import CSV_BLOCK_ROWS, TOOL_VERSION, Columns, _format_cell, _format_column
 from kvgeom.scorers import NORM_EPS
 
 from conftest import TIE_HEAVY
@@ -120,6 +120,49 @@ def test_column_csv_equals_per_cell_reference(cols):
     reference = _reference_csv(Report(name="r", columns=names), rows)
     assert Report(name="r", columns=names, rows=Columns(**data)).to_csv_text() == reference
     assert Report(name="r", columns=names, rows=rows).to_csv_text() == reference
+
+
+@pytest.mark.parametrize("n", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_csv_blocks_join_to_the_per_cell_reference(tmp_path, n):
+    g = np.random.default_rng(n)
+    data = {"token": np.arange(n) % 37, "score": g.normal(size=n),
+            "label": [f"r{i % 5}" for i in range(n)]}
+    rows = [{name: column[i] for name, column in data.items()} for i in range(n)]
+    report = Report(name="r", columns=list(data), rows=Columns(**data),
+                    metadata={"seeds": [0, 1]})
+    reference = _reference_csv(report, rows)
+    assert report.to_csv_text() == reference
+    report.write(tmp_path / "r.csv", "csv")
+    assert (tmp_path / "r.csv").read_bytes() == reference.encode()
+
+
+INT_DTYPES = ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64")
+
+
+@st.composite
+def int_columns(draw):
+    """An integer column of any width and signedness, often spanning fewer
+    values than it has cells."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    n = draw(st.integers(0, 300))  # over 256 cells: int8 spans beyond 127
+    base = draw(st.integers(int(info.min), int(info.max)))
+    span = draw(st.sampled_from([0, 1, n // 2, n, 2**64]))
+    lo, hi = max(int(info.min), base - span), min(int(info.max), base + span)
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g.integers(lo, hi, size=n, dtype=dtype, endpoint=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_columns())
+@example(np.array([], dtype=np.int64))
+@example(np.array([7], dtype=np.uint8))
+@example(np.array([-3, -3, -3], dtype=np.int16))
+@example(np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64))
+@example(np.array([-(2**63), -(2**63) + 1], dtype=np.int64))
+@example(np.array([-100, 100] + [0] * 199, dtype=np.int8))  # a span int8 cannot hold
+def test_integer_column_equals_str_of_each_cell(values):
+    assert _format_column(values) == list(map(str, values.tolist()))
 
 
 # ------------------------------------------------ slab-wise centroid scorers
