@@ -140,10 +140,13 @@ def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> R
     columns averaged over seeds and the `carried` columns of the first run.
     The report's columns are row, `column`, `carried`, seed, `means`.
     """
+    for i, point in enumerate(grid):  # a repeated point's groups would share rows
+        if point in grid[:i]:
+            raise ValidationError(f"{column} grid lists {point} twice")
     rows = _map_jobs(jobs, job, [(point, seed) for point in grid for seed in seeds])
     out = []
-    for point in grid:
-        chunk = [r for r in rows if r[column] == point]
+    for i, point in enumerate(grid):
+        chunk = rows[i * len(seeds) : (i + 1) * len(seeds)]
         out.extend(chunk)
         out.append({"row": "mean", column: point, "seed": "",
                     **{c: chunk[0][c] for c in carried},

@@ -47,27 +47,32 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _format_column(values) -> list:
-    """Every cell of one column as CSV text, as `_format_cell` formats it.
+def _format_column(values, block: int):
+    """Every cell of one column as CSV text, as `_format_cell` formats it, in
+    lists of `block` cells.
 
-    A numpy column of integers or floats is formatted in one pass (`str` of
-    each int, `repr` of each float); any other column cell by cell. Integers
-    spanning fewer values than the column has cells are formatted once per
-    value in that span and looked up.
+    A numpy column of integers or floats is formatted a block per pass (`str`
+    of each int, `repr` of each float); any other column cell by cell.
+    Integers spanning fewer values than the column has cells are formatted
+    once per value in that span, for the whole column, and looked up.
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
-    if kind in ("i", "u"):
-        if values.size and int(values.max()) - int(values.min()) < values.size:
-            # widened, so the offsets from the minimum cannot wrap (an int8
-            # column can span 255)
-            wide = values.astype(np.int64 if kind == "i" else np.uint64, copy=False)
-            lo = wide.min()
-            table = np.array(list(map(str, range(int(lo), int(wide.max()) + 1))), dtype=object)
-            return table[wide - lo].tolist()
-        return list(map(str, values.tolist()))
-    if kind == "f":
-        return list(map(repr, values.astype(np.float64, copy=False).tolist()))
-    return [_format_cell(v) for v in values]
+    table = None
+    if kind in ("i", "u") and values.size and int(values.max()) - int(values.min()) < values.size:
+        # widened, so offsets from the minimum cannot wrap (int8 can span 255)
+        values = values.astype(np.int64 if kind == "i" else np.uint64, copy=False)
+        lo = values.min()
+        table = np.array(list(map(str, range(int(lo), int(values.max()) + 1))), dtype=object)
+    for s in range(0, len(values), block):
+        part = values[s : s + block]
+        if table is not None:
+            yield table[part - lo].tolist()
+        elif kind in ("i", "u"):
+            yield list(map(str, part.tolist()))
+        elif kind == "f":
+            yield list(map(repr, part.astype(np.float64, copy=False).tolist()))
+        else:
+            yield [_format_cell(v) for v in part]
 
 
 class Columns:
@@ -120,9 +125,8 @@ class Report:
             lines.append(f"# {key}={_format_cell(self.metadata[key])}")
         lines.append(",".join(self.columns))
         yield "\n".join(lines) + "\n"
-        columns = [self._column(c) for c in self.columns]
-        for s in range(0, len(self.rows), CSV_BLOCK_ROWS):
-            cells = [_format_column(values[s : s + CSV_BLOCK_ROWS]) for values in columns]
+        columns = [_format_column(self._column(c), CSV_BLOCK_ROWS) for c in self.columns]
+        for cells in zip(*columns):
             lines = list(map(",".join, zip(*cells)))
             lines.append("")  # ends the last row
             yield "\n".join(lines)
@@ -139,10 +143,7 @@ class Report:
         if self.group_by is None:
             obj["rows"] = list(self.rows)
         else:
-            keys = []
-            for row in self.rows:
-                if row[self.group_by] not in keys:
-                    keys.append(row[self.group_by])
+            keys = list(dict.fromkeys(row[self.group_by] for row in self.rows))
             obj["group_by"] = self.group_by
             obj["groups"] = [
                 {"key": k, "rows": [r for r in self.rows if r[self.group_by] == k]}

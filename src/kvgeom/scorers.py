@@ -3,7 +3,10 @@
 Every scorer maps a (batch, heads, seq, dim) key tensor to per-token scores
 with the dim axis reduced away; higher score means "keep this token". Each
 (batch, head) slice is scored independently, and all reductions accumulate
-in float64 regardless of the float32 storage precision.
+in float64 regardless of the float32 storage precision. The geometric
+scorers read the float32 rows ROW_CHUNK at a time into one reused float64
+buffer, so none holds a float64 copy of a slab, and every score has the bits
+of the same expression on the whole float64 slab.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .tensor import KeyTensor, ScoreTensor, freeze
 # Guard for unit-normalizing degenerate (zero-norm) keys.
 NORM_EPS = 1e-12
 
-# Rows whose squares are formed at a time for a row norm: 256 rows of 128
-# float64 values are 256 KiB, which stays in a core's L2 cache.
+# Rows the geometric scorers and the cluster generator convert to float64 at a
+# time: 256 rows of 128 float64 values are 256 KiB, which stays in L2 cache.
 ROW_CHUNK = 256
 
 
@@ -123,31 +126,57 @@ def l2_from_anchor(keys: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return np.linalg.norm(arr - anc, axis=1)
 
 
-def _centered_l2(block: np.ndarray) -> np.ndarray:
-    # block: (batch, heads, n, d) float64 -> distances from the block centroid.
-    # Consumes `block`: it is centred and squared in place, which gives the bits
-    # of np.linalg.norm(block - mu, axis=3) without its two full-size temporaries.
-    mu = block.mean(axis=2, keepdims=True)
-    block -= mu
-    block *= block
-    return np.sqrt(np.add.reduce(block, axis=3))
+def _row_blocks(x: np.ndarray, buf: np.ndarray, scale: np.ndarray | None = None):
+    """Each block of up to ROW_CHUNK float32 rows of `x` as (its row slice, a
+    float64 copy at the head of `buf`), divided row-wise by `scale` if given."""
+    for start in range(0, len(x), ROW_CHUNK):
+        rows = slice(start, min(start + ROW_CHUNK, len(x)))
+        block = buf[: rows.stop - start]
+        np.copyto(block, x[rows])
+        if scale is not None:
+            block /= scale[rows, None]
+        yield rows, block
 
 
-def _slab_scores(t: KeyTensor, score_slab) -> ScoreTensor:
-    """Scores from `score_slab`, called on one fresh (1, 1, seq, dim) float64
-    slab per (batch, head), so that only one slab is held in float64 at a time.
-    The slab is the scorer's own copy: it may overwrite it."""
+def _col_mean(x: np.ndarray, buf: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """Column means of the rows of `x` (divided by `scale`), with the bits of
+    `x.astype(np.float64).mean(axis=0)`: numpy adds the rows of a C-ordered
+    matrix to a zeroed sum one after another, so that sum is carried in row 0
+    of `buf`, ahead of each block's rows. A single column is one contiguous
+    run, which numpy sums pairwise instead, so it is converted whole."""
+    if x.shape[1] == 1:
+        return (x.astype(np.float64) if scale is None else x / scale[:, None]).mean(axis=0)
+    total = np.zeros(x.shape[1])
+    for _, block in _row_blocks(x, buf[1:], scale):
+        buf[0] = total
+        np.add.reduce(buf[: len(block) + 1], axis=0, out=total)
+    return total / len(x)
+
+
+def _row_scores(t: KeyTensor, kernel) -> ScoreTensor:
+    """Scores from `kernel(x, buf, out)` per (batch, head): its float32 (seq, dim)
+    rows `x`, one reused float64 buffer of ROW_CHUNK + 1 rows, its score row `out`."""
     scores = np.empty(t.shape[:3], dtype=np.float64)
+    buf = np.empty((min(t.seq_len, ROW_CHUNK) + 1, t.head_dim))
     for b in range(t.batch):
         for h in range(t.heads):
-            slab = t.data[b : b + 1, h : h + 1].astype(np.float64)
-            scores[b : b + 1, h : h + 1] = score_slab(slab)
+            kernel(t.data[b, h], buf, scores[b, h])
     return ScoreTensor(freeze(scores))
+
+
+def _centered_l2(x, buf, out, scale=None) -> None:
+    # the bits of np.linalg.norm(rows - rows.mean(axis=0), axis=1) on the float64 rows
+    mu = _col_mean(x, buf, scale)
+    for rows, block in _row_blocks(x, buf, scale):
+        block -= mu
+        block *= block
+        np.add.reduce(block, axis=1, out=out[rows])
+    np.sqrt(out, out=out)
 
 
 def manifold_score(t: KeyTensor) -> ScoreTensor:
     """L2 distance of each key from its (batch, head) centroid."""
-    return _slab_scores(t, _centered_l2)
+    return _row_scores(t, _centered_l2)
 
 
 def windowed_manifold_score(t: KeyTensor, window_size: int) -> ScoreTensor:
@@ -159,44 +188,31 @@ def windowed_manifold_score(t: KeyTensor, window_size: int) -> ScoreTensor:
     window_size >= seq_len this is bit-identical to manifold_score.
     """
     _at_least_one("window_size", window_size)
-    n = t.seq_len
 
-    def windows(slab: np.ndarray) -> np.ndarray:
-        out = np.empty(slab.shape[:3], dtype=np.float64)
-        for start in range(0, n, window_size):
-            end = min(start + window_size, n)
-            out[:, :, start:end] = _centered_l2(slab[:, :, start:end, :])
-        return out
+    def windows(x, buf, out):
+        for start in range(0, len(x), window_size):
+            _centered_l2(x[start : start + window_size], buf, out[start : start + window_size])
 
-    return _slab_scores(t, windows)
+    return _row_scores(t, windows)
 
 
-def _guarded_norms(data: np.ndarray) -> np.ndarray:
-    """Row norms of `data` (keepdims), floored at NORM_EPS.
-
-    The squares are formed ROW_CHUNK rows at a time in one small buffer that
-    stays in cache; every row is summed as np.linalg.norm sums it, so the
-    bits are the same.
-    """
-    n = data.shape[2]
-    sums = np.empty(data.shape[:3] + (1,))
-    work = np.empty(data.shape[:2] + (min(n, ROW_CHUNK), data.shape[3]))
-    for start in range(0, n, ROW_CHUNK):
-        end = min(start + ROW_CHUNK, n)
-        rows = data[:, :, start:end]
-        squares = np.multiply(rows, rows, out=work[:, :, : end - start])
-        np.add.reduce(squares, axis=3, keepdims=True, out=sums[:, :, start:end])
-    return np.maximum(np.sqrt(sums, out=sums), NORM_EPS)
+def _norms(x, buf, out, floor=0.0) -> None:
+    # the bits of np.linalg.norm(rows, axis=1), floored at `floor` (norms are >= +0.0)
+    for rows, block in _row_blocks(x, buf):
+        block *= block
+        np.add.reduce(block, axis=1, out=out[rows])
+    np.maximum(np.sqrt(out, out=out), floor, out=out)
 
 
-def _keydiff(data: np.ndarray) -> np.ndarray:
-    norms = _guarded_norms(data)
-    anchor = (data / norms).mean(axis=2, keepdims=True)
-    anchor_norms = np.maximum(np.linalg.norm(anchor, axis=3, keepdims=True), NORM_EPS)
-    data *= anchor  # the last use of the raw keys
-    cos = np.add.reduce(data, axis=3)
-    cos /= (norms * anchor_norms)[..., 0]
-    return 1.0 - cos
+def _keydiff(x, buf, out) -> None:
+    _norms(x, buf, out, NORM_EPS)  # `out` holds the guarded norms until the cosine pass
+    anchor = _col_mean(x, buf, scale=out)
+    anchor_norm = np.maximum(np.sqrt(np.add.reduce(anchor * anchor)), NORM_EPS)
+    for rows, block in _row_blocks(x, buf):
+        block *= anchor
+        cos = np.add.reduce(block, axis=1)
+        cos /= out[rows] * anchor_norm
+        np.subtract(1.0, cos, out=out[rows])
 
 
 def keydiff_score(t: KeyTensor) -> ScoreTensor:
@@ -207,17 +223,12 @@ def keydiff_score(t: KeyTensor) -> ScoreTensor:
     any score. Zero-norm keys are guarded with NORM_EPS instead of emitting
     NaN. Range [0, 2].
     """
-    return _slab_scores(t, _keydiff)
-
-
-def _row_norms(data: np.ndarray) -> np.ndarray:
-    data *= data
-    return np.sqrt(np.add.reduce(data, axis=3))
+    return _row_scores(t, _keydiff)
 
 
 def knorm_score(t: KeyTensor) -> ScoreTensor:
     """Plain L2 magnitude of each key."""
-    return _slab_scores(t, _row_norms)
+    return _row_scores(t, _norms)
 
 
 def lp_score(t: KeyTensor, p) -> ScoreTensor:
@@ -229,42 +240,45 @@ def lp_score(t: KeyTensor, p) -> ScoreTensor:
     else:
         raise ValidationError(f"p must be 1 or inf, got {p!r}")
 
-    def deviation(data: np.ndarray) -> np.ndarray:
-        data -= data.mean(axis=2, keepdims=True)
-        return reduce(np.abs(data, out=data), axis=3)
+    def deviation(x, buf, out):
+        mu = _col_mean(x, buf)
+        for rows, block in _row_blocks(x, buf):
+            block -= mu
+            reduce(np.abs(block, out=block), axis=1, out=out[rows])
 
-    return _slab_scores(t, deviation)
-
-
-def _normalized(data: np.ndarray) -> np.ndarray:
-    data /= _guarded_norms(data)
-    return _centered_l2(data)
+    return _row_scores(t, deviation)
 
 
 def normalized_manifold_score(t: KeyTensor) -> ScoreTensor:
     """L2 distance of unit-normalized keys from the mean of unit-normalized keys."""
-    return _slab_scores(t, _normalized)
+
+    def normalized(x, buf, out):
+        _norms(x, buf, out, NORM_EPS)
+        # each block reads its norms from `out` before its distances overwrite them
+        _centered_l2(x, buf, out, scale=out)
+
+    return _row_scores(t, normalized)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
-    # rescale each (batch, head) score row to [0, 1]; constant rows map to zeros
-    lo = scores.min(axis=2, keepdims=True)
-    span = scores.max(axis=2, keepdims=True) - lo
-    out = np.zeros_like(scores)
-    np.divide(scores - lo, span, out=out, where=span > 0)
-    return out
+    # rescale one score row to [0, 1]; a constant row maps to zeros
+    lo = scores.min()
+    span = scores.max() - lo
+    return (scores - lo) / span if span > 0 else np.zeros_like(scores)
 
 
 def hybrid_score(t: KeyTensor, hybrid_lambda: float) -> ScoreTensor:
     """Convex combination of min-max-normalized centroid-L2 and keydiff scores,
-    both from one float64 slab per (batch, head): min-max scaling is per row."""
+    both taken per (batch, head): min-max scaling is per row."""
     _unit_interval("hybrid_lambda", hybrid_lambda)
 
-    def mix(slab: np.ndarray) -> np.ndarray:
-        m = _minmax(_centered_l2(slab.copy()))
-        return hybrid_lambda * m + (1.0 - hybrid_lambda) * _minmax(_keydiff(slab))
+    def mix(x, buf, out):
+        diff = np.empty_like(out)
+        _keydiff(x, buf, diff)
+        _centered_l2(x, buf, out)
+        out[...] = hybrid_lambda * _minmax(out) + (1.0 - hybrid_lambda) * _minmax(diff)
 
-    return _slab_scores(t, mix)
+    return _row_scores(t, mix)
 
 
 def obs_attention_score(keys: KeyTensor, queries: KeyTensor, obs_window: int) -> ScoreTensor:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, json_value, parse_file
+from .scorers import ROW_CHUNK
 from .tensor import KeyTensor, freeze
 
 SCENARIO_KINDS = ("subspace", "radial", "clusters", "collision")
@@ -132,10 +133,10 @@ def _as_tensor(matrix: np.ndarray) -> KeyTensor:
     return KeyTensor(freeze(out))
 
 
-def _as_scenario(kind: str, keys: np.ndarray, needles, params: dict) -> Scenario:
+def _as_scenario(kind: str, keys: KeyTensor, needles, params: dict) -> Scenario:
     return Scenario(
         kind=kind,
-        keys=_as_tensor(keys),
+        keys=keys,
         needles=tuple(int(i) for i in sorted(needles)),
         params=params,
     )
@@ -218,7 +219,7 @@ def gen_subspace_scenario(
         "separation_scale": applied_scale,
         "basis": basis.tolist(),
     }
-    return _as_scenario("subspace", keys, needles, params)
+    return _as_scenario("subspace", _as_tensor(keys), needles, params)
 
 
 def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) -> Scenario:
@@ -249,7 +250,7 @@ def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) 
     keys[mask] = axis + epsilon * jitter
     keys[pos] = alpha * axis
     params = {"alpha": alpha, "epsilon": epsilon, "n": n, "d": d, "seed": seed}
-    return _as_scenario("radial", keys, [pos], params)
+    return _as_scenario("radial", _as_tensor(keys), [pos], params)
 
 
 def gen_cluster_mixture(
@@ -271,7 +272,9 @@ def gen_cluster_mixture(
     mean, displaced toward the global grand mean: a clear local outlier
     whose global centroid-L2 score drops below ordinary tokens once several
     clusters dilute the centroid. `shuffle` permutes the sequence layout for
-    the adversarial interleaved variant.
+    the adversarial interleaved variant. Keys are drawn ROW_CHUNK rows at a
+    time into one float64 buffer and cast into place: one Philox stream, the
+    bits of casting the whole (n, d) float64 matrix.
     """
     if k_clusters < 1:
         raise ValidationError(f"k_clusters must be >= 1, got {k_clusters}")
@@ -288,33 +291,31 @@ def gen_cluster_mixture(
     dirs, _ = np.linalg.qr(rng.normal(size=(d, k_clusters)))
     dirs = dirs.T  # (K, d) orthonormal rows
     means = separation * dirs
-    block = n // k_clusters
-    remainder = n % k_clusters
-    bounds = []
-    start = 0
-    for i in range(k_clusters):
-        size = block + (1 if i < remainder else 0)
-        bounds.append((start, start + size))
-        start += size
+    block, remainder = divmod(n, k_clusters)  # the first `remainder` clusters get one more token
+    starts = [i * block + min(i, remainder) for i in range(k_clusters + 1)]
+    bounds = list(zip(starts, starts[1:]))
 
-    keys = np.empty((n, d))
+    out = np.empty((1, 1, n, d), dtype=np.float32)
+    buf = np.empty((min(n, ROW_CHUNK), d))
     needles = []
     per_coord = spread / np.sqrt(d)
-    for i, (lo, hi) in enumerate(bounds):
-        # in place, the stream and bits of means[i] + rng.normal(0.0, per_coord, ...)
-        block = rng.standard_normal(out=keys[lo:hi])
-        block *= per_coord
-        block += means[i]
-        radius = rng.uniform(3.0, 4.0) * spread
-        pos_lo = max(lo, 1)
-        pos_hi = min(hi, n - 1)
-        pos = int(rng.integers(pos_lo, pos_hi))
-        keys[pos] = means[i] - radius * dirs[i]
-        needles.append(pos)
+    # values beyond float32 range become inf in the casts, which KeyTensor reports
+    with np.errstate(over="ignore"):
+        for i, (lo, hi) in enumerate(bounds):
+            # the stream and bits of means[i] + rng.normal(0.0, per_coord, ...), a block at a time
+            for start in range(lo, hi, ROW_CHUNK):
+                rows = rng.standard_normal(out=buf[: min(start + ROW_CHUNK, hi) - start])
+                rows *= per_coord
+                rows += means[i]
+                out[0, 0, start : start + len(rows)] = rows
+            radius = rng.uniform(3.0, 4.0) * spread
+            pos = int(rng.integers(max(lo, 1), min(hi, n - 1)))
+            out[0, 0, pos] = means[i] - radius * dirs[i]
+            needles.append(pos)
 
     if shuffle:
         perm = rng.permutation(n)
-        keys = keys[perm]
+        out = np.take(out, perm, axis=2)
         inverse = np.empty(n, dtype=np.int64)
         inverse[perm] = np.arange(n)
         needles = [int(inverse[p]) for p in needles]
@@ -330,7 +331,7 @@ def gen_cluster_mixture(
         "block_bounds": [[lo, hi] for lo, hi in bounds],
         "cluster_means": means.tolist(),
     }
-    return _as_scenario("clusters", keys, needles, params)
+    return _as_scenario("clusters", KeyTensor(freeze(out)), needles, params)
 
 
 def gen_collision_scenario(
@@ -376,7 +377,7 @@ def gen_collision_scenario(
         "direction": direction.tolist(),
         "needle_positions": [int(p) for p in positions],
     }
-    return _as_scenario("collision", keys, positions, params)
+    return _as_scenario("collision", _as_tensor(keys), positions, params)
 
 
 def gen_queries(

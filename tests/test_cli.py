@@ -559,6 +559,24 @@ class TestSweepCommands:
         assert all(float(r["success"]) == 1.0 for r in means)
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dilution", "--n", "1024", "--d", "16", "--k-grid", "4,4"],
+         "k_clusters grid lists 4 twice"),
+        (["ablation", "--n", "256", "--d", "16", "--k-clusters", "4", "--w-grid", "64,32,64"],
+         "window grid lists 64 twice"),
+        (["separation", "--k", "2", "--d", "16", "--n-grid", "64,128,128", "--n-out", "2"],
+         "n grid lists 128 twice"),
+    ])
+    def test_duplicate_grid_value_refused(self, capsys, tmp_path, argv, message):
+        # each group of a duplicated value would hold both values' run rows
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--seeds", "0,1", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["message"] == message
+        assert not out.exists()
+
+
 class TestDimEstimateCommand:
     def test_per_head_and_pooled(self, capsys, tmp_path):
         path = tmp_path / "k.kvt"

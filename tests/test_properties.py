@@ -1,5 +1,7 @@
 """Property-based checks for the small algebraic contracts and the bulk I/O paths."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +31,8 @@ from kvgeom import (
 from kvgeom.attention import _slab_weights
 from kvgeom.experiments import _count_needle_hits
 from kvgeom.report import CSV_BLOCK_ROWS, TOOL_VERSION, Columns, _format_cell, _format_column
-from kvgeom.scorers import NORM_EPS
+from kvgeom import scorers
+from kvgeom.scorers import NORM_EPS, ROW_CHUNK
 
 from conftest import TIE_HEAVY
 
@@ -154,15 +157,30 @@ def int_columns(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_columns())
-@example(np.array([], dtype=np.int64))
-@example(np.array([7], dtype=np.uint8))
-@example(np.array([-3, -3, -3], dtype=np.int16))
-@example(np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64))
-@example(np.array([-(2**63), -(2**63) + 1], dtype=np.int64))
-@example(np.array([-100, 100] + [0] * 199, dtype=np.int8))  # a span int8 cannot hold
-def test_integer_column_equals_str_of_each_cell(values):
-    assert _format_column(values) == list(map(str, values.tolist()))
+@given(int_columns(), st.integers(1, 310))
+@example(np.array([], dtype=np.int64), CSV_BLOCK_ROWS)
+@example(np.array([7], dtype=np.uint8), CSV_BLOCK_ROWS)
+@example(np.array([-3, -3, -3], dtype=np.int16), 2)
+@example(np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64), 1)
+@example(np.array([-(2**63), -(2**63) + 1], dtype=np.int64), CSV_BLOCK_ROWS)
+@example(np.array([-100, 100] + [0] * 199, dtype=np.int8), 64)  # a span int8 cannot hold
+def test_integer_column_equals_str_of_each_cell(values, block):
+    blocks = list(_format_column(values, block))
+    assert [len(b) for b in blocks] == [len(values[s : s + block])
+                                        for s in range(0, len(values), block)]
+    assert [cell for b in blocks for cell in b] == list(map(str, values.tolist()))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_one_lookup_table_per_column_across_blocks(monkeypatch, block):
+    # columns whose blocks each span other values than the whole column does
+    n = 500
+    data = {"token": np.tile(np.arange(50), 10), "ramp": np.arange(n) // 3,
+            "wide": (np.arange(n) % 256 - 128).astype(np.int8), "score": np.arange(n) / 7.0}
+    rows = [{name: column[i] for name, column in data.items()} for i in range(n)]
+    report = Report(name="r", columns=list(data), rows=Columns(**data))
+    monkeypatch.setattr("kvgeom.report.CSV_BLOCK_ROWS", block)
+    assert report.to_csv_text() == _reference_csv(report, rows)
 
 
 # ------------------------------------------------ slab-wise centroid scorers
@@ -267,16 +285,45 @@ def test_inplace_kernels_equal_replaced_expressions(data, draw):
     _assert_kernels_equal_replaced_expressions(data, draw.draw(st.integers(1, data.shape[2])))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 40), st.integers(1, 9))
+    .flatmap(lambda s: arrays(np.float32, s, elements=KERNEL_ELEMENTS)),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_kernels_equal_replaced_expressions_in_small_row_blocks(data, row_chunk, draw):
+    # many row blocks per slab and per window: the carried column sums meet
+    # ties, zero keys and signed zeros at every block edge
+    with mock.patch.object(scorers, "ROW_CHUNK", row_chunk):
+        _assert_kernels_equal_replaced_expressions(data, draw.draw(st.integers(1, data.shape[2])))
+
+
 @pytest.mark.parametrize("shape, window", [
     ((1, 1, 1000, 128), 250),  # a sweep-like slab: pairwise sums past their 128-element block
     ((2, 3, 257, 129), 100),
     ((1, 2, 300, 1), 7),
+    # sizes about the row block, with windows that straddle a block edge
+    ((1, 2, ROW_CHUNK - 1, 16), 100),
+    ((2, 1, ROW_CHUNK, 7), ROW_CHUNK - 3),
+    ((1, 1, ROW_CHUNK + 1, 128), 200),
+    ((1, 2, 2 * ROW_CHUNK + 1, 33), ROW_CHUNK + 5),
+    ((1, 1, 2 * ROW_CHUNK + 1, 1), 300),
 ])
 def test_inplace_kernels_equal_replaced_expressions_at_size(shape, window):
     g = np.random.Generator(np.random.Philox(sum(shape)))
     data = (g.normal(size=shape) * g.uniform(0.1, 50.0, size=shape[:3] + (1,))).astype(np.float32)
     data[0, 0, 3] = 0.0
     _assert_kernels_equal_replaced_expressions(data, window)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2 * ROW_CHUNK + 1, 1), (1, 1, 2 * ROW_CHUNK + 1, 3)])
+def test_kernels_equal_replaced_expressions_on_wide_magnitudes(shape):
+    # magnitudes from 1e-8 to 1e7 make float64 column sums inexact, so their
+    # order shows: a single column is summed pairwise, wider ones row by row
+    g = np.random.Generator(np.random.Philox(7))
+    data = (g.normal(size=shape) * 10.0 ** g.uniform(-8, 7, size=shape)).astype(np.float32)
+    _assert_kernels_equal_replaced_expressions(data, ROW_CHUNK // 2 + 1)
 
 
 # ------------------------------------------------ partition top-k and the retention mask

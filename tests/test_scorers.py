@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,6 +473,30 @@ class TestCrossCuttingInvariants:
     def test_compute_scores_requires_queries_for_obs(self):
         with pytest.raises(ValidationError, match="quer"):
             compute_scores(ScorerSpec("obs_attention", obs_window=2), random_tensor(0))
+
+
+class TestRowBlockMemory:
+    """A geometric scorer converts ROW_CHUNK rows at a time: on a (16384, 128)
+    slab it peaks far below one float64 copy of the slab (16 MiB)."""
+
+    @pytest.fixture(scope="class")
+    def slab(self):
+        return KeyTensor(rng(40).normal(size=(1, 1, 16384, 128)).astype(np.float32))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [s for s in ALL_GLOBAL_SPECS if s.method != "obs_attention"]
+        + [ScorerSpec("windowed", window_size=1000)],
+        ids=lambda s: s.label(),
+    )
+    def test_peak_is_at_most_one_mib(self, slab, spec):
+        tracemalloc.start()
+        try:
+            compute_scores(spec, slab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestInputsUntouched:

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kvgeom import (
+    KeyTensor,
     ValidationError,
     attention,
     centroid,
@@ -20,7 +22,9 @@ from kvgeom import (
     manifold_score,
     regenerate,
     save_sidecar,
+    synth,
 )
+from kvgeom.scorers import ROW_CHUNK
 
 
 def make_each_kind(seed=0):
@@ -239,6 +243,42 @@ class TestClusterMixture:
         keys, needles = _out_of_place_cluster_keys(n, d, k_clusters, 1.5, 10.0, seed, shuffle)
         assert np.array_equal(scenario.keys.data[0, 0], keys.astype(np.float32))
         assert list(scenario.needles) == sorted(needles)
+
+    @pytest.mark.parametrize("row_chunk", [3, ROW_CHUNK])
+    @pytest.mark.parametrize("n, d, k_clusters, shuffle", [
+        # one cluster over several row blocks, the last one ragged
+        (2 * ROW_CHUNK + 77, 16, 1, False), (2 * ROW_CHUNK + 77, 16, 1, True), (101, 5, 4, True),
+    ])
+    def test_row_blocks_equal_out_of_place_construction(self, monkeypatch, row_chunk,
+                                                        n, d, k_clusters, shuffle):
+        monkeypatch.setattr(synth, "ROW_CHUNK", row_chunk)
+        for seed in (0, 17):
+            scenario = gen_cluster_mixture(n=n, d=d, k_clusters=k_clusters, spread=1.5,
+                                           separation=10.0, seed=seed, shuffle=shuffle)
+            keys, needles = _out_of_place_cluster_keys(n, d, k_clusters, 1.5, 10.0, seed, shuffle)
+            assert np.array_equal(scenario.keys.data[0, 0], keys.astype(np.float32))
+            assert list(scenario.needles) == sorted(needles)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_overflowing_separation_refused_like_the_cast_matrix(self, shuffle):
+        keys, _ = _out_of_place_cluster_keys(600, 8, 2, 1.0, 1e39, 0, shuffle)
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as cast:
+            KeyTensor(keys.astype(np.float32)[None, None])
+        with pytest.raises(ValidationError) as generated:
+            gen_cluster_mixture(n=600, d=8, k_clusters=2, spread=1.0, separation=1e39,
+                                seed=0, shuffle=shuffle)
+        assert str(generated.value) == str(cast.value)
+
+    def test_peak_memory_is_the_float32_keys(self):
+        # the float64 (16384, 128) matrix alone would be 16 MiB
+        tracemalloc.start()
+        try:
+            scenario = gen_cluster_mixture(n=16384, d=128, k_clusters=1, spread=1.0,
+                                           separation=10.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scenario.keys.data.nbytes + 2 * 2**20
 
     def test_param_errors(self):
         with pytest.raises(ValidationError):
