@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import KeyTensor, all_finite
+from .tensor import KeyTensor, _each_slab, all_finite
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,16 @@ def _slab_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) per (batch, head, query) row, float64.
 
-    Queries and keys are converted to float64 one (batch, head) slab at a time.
+    Queries and keys go to float64 one (batch, head) slab at a time, keys into a worker's buffer.
     """
     _check_frames(queries, keys)
     out = np.empty(queries.shape[:3] + (keys.seq_len,))
-    for bi in range(keys.batch):
-        for hi in range(keys.heads):
-            out[bi, hi] = _slab_weights(queries.matrix(bi, hi), keys.matrix(bi, hi))
+
+    def slab(bi, hi, k):
+        np.copyto(k, keys.data[bi, hi])
+        out[bi, hi] = _slab_weights(queries.matrix(bi, hi), k)
+
+    _each_slab(keys.shape[:2], slab, lambda: np.empty(keys.shape[2:]))
     return out
 
 
@@ -64,9 +67,8 @@ def attention(q: KeyTensor, k: KeyTensor, v: KeyTensor) -> AttentionOutput:
     _check_frames(q, k, v)
     weights = attention_weights(q, k)
     values = np.empty(q.shape[:3] + (v.head_dim,))
-    for bi in range(k.batch):
-        for hi in range(k.heads):
-            np.matmul(weights[bi, hi], v.matrix(bi, hi), out=values[bi, hi])
+    _each_slab(k.shape[:2], lambda bi, hi, _: np.matmul(
+        weights[bi, hi], v.matrix(bi, hi), out=values[bi, hi]))
     return AttentionOutput(values=values, weights=weights)
 
 
@@ -76,19 +78,21 @@ def preservation_error(q: KeyTensor, k: KeyTensor, v: KeyTensor, retained) -> fl
     ||attention(Q,K,V) - attention(Q,K',V')||_F / ||attention(Q,K,V)||_F,
     where K'/V' keep only the rows `retained` selects per (batch, head).
     Zero when everything is retained. Holds one (batch, head) slab of each
-    tensor in float64 at a time.
+    tensor in float64 at a time per worker.
     """
     _check_frames(q, k, v)
     if retained.keep.shape != k.shape[:3]:
         raise ValidationError("retention set frame does not match tensors")
     full = np.empty(q.shape[:3] + (v.head_dim,))
     kept = np.empty_like(full)
-    for bi in range(k.batch):
-        for hi in range(k.heads):
-            qs, ks, vs = q.matrix(bi, hi), k.matrix(bi, hi), v.matrix(bi, hi)
-            np.matmul(_slab_weights(qs, ks), vs, out=full[bi, hi])
-            keep = retained.keep[bi, hi]
-            np.matmul(_slab_weights(qs, ks[keep]), vs[keep], out=kept[bi, hi])
+
+    def slab(bi, hi, _):
+        qs, ks, vs = q.matrix(bi, hi), k.matrix(bi, hi), v.matrix(bi, hi)
+        np.matmul(_slab_weights(qs, ks), vs, out=full[bi, hi])
+        keep = retained.keep[bi, hi]
+        np.matmul(_slab_weights(qs, ks[keep]), vs[keep], out=kept[bi, hi])
+
+    _each_slab(k.shape[:2], slab)
     denom = np.linalg.norm(full)
     num = np.linalg.norm(full - kept)
     if denom == 0.0:

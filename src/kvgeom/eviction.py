@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import KeyTensor, ScoreTensor, _adopt, all_finite, freeze
+from .tensor import KeyTensor, ScoreTensor, _adopt, _each_slab, all_finite, freeze
 
 BUDGET_MODES = ("uniform", "proportional")
 
@@ -156,9 +156,11 @@ def _gather(t: KeyTensor, keep: np.ndarray, counts: np.ndarray) -> KeyTensor:
     # over an argsort and lighter than one flat boolean gather of the tensor;
     # `take` writes straight into `out` (mode "raise" would buffer it, and
     # no index of flatnonzero needs clipping)
-    for b, h in np.ndindex(counts.shape):
+    def gather(b, h, _):
         rows = np.flatnonzero(keep[b, h])
         np.take(t.data[b, h], rows, axis=0, out=out[b, h, : rows.size], mode="clip")
+
+    _each_slab(counts.shape, gather)
     return KeyTensor(freeze(out))
 
 

@@ -20,21 +20,17 @@ clouds, not production indexes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .tensor import all_finite
+from .tensor import _each_slab, all_finite
 
 DUPLICATE_EPS = 1e-12
 # Float64 distances held per row tile of the neighbor search (16 MiB):
 # 256 rows at n = 8192.
 TILE_ELEMENTS = 2**21
-# Tiles in flight at once, one per worker thread: the memory bound above.
-MAX_WORKERS = 2
 # Float64 elements of a worker's scratch strip of squared norms (256 KiB):
 # 4 rows at n = 8192.
 STRIP_ELEMENTS = 2**15
@@ -92,16 +88,10 @@ def pca_effective_dim(points, threshold: float = 0.95) -> int:
     return int(np.searchsorted(cum, threshold - 1e-12) + 1)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _nn_tile(points, sq, s, k, g, strip, out) -> None:
-    """Sorted squared k-NN distances of rows s:e into out[s:e], computed in
-    the (e - s, n) tile buffer g with a small strip for the squared norms."""
+    """Sorted squared k-NN distances of rows s:e into out[s:e], in the first
+    e - s rows of the tile buffer g and a small strip for the squared norms."""
+    g = g[: len(points) - s]
     e = s + g.shape[0]
     np.matmul(points[s:e], points.T, out=g)
     g *= 2.0
@@ -120,11 +110,11 @@ def _nn_tile(points, sq, s, k, g, strip, out) -> None:
 def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) matrix of each point's k smallest neighbor distances, ascending.
 
-    Exact, one tile of rows at a time, on min(MAX_WORKERS, usable CPUs,
-    tiles) threads, each owning one tile buffer and strip allocated here and
-    taking every other tile; a cloud of one tile runs inline. Tiles start at
-    0, rows, 2*rows, ... whatever the worker count, so the BLAS sees the same
-    row blocks and the table has the same bits on any number of CPUs. Each
+    Exact, one tile of rows at a time, on `tensor._each_slab`'s workers, each
+    owning one tile buffer and strip and taking every other tile; a cloud of
+    one tile runs inline. Tiles start at 0, rows, 2*rows, ... whatever the
+    worker count, so the BLAS sees the same row blocks and the table has the
+    same bits on any number of CPUs. Each
     tile's squared distances use the same operations in the same order as
     the whole n x n matrix would, so the table equals the whole matrix's
     wherever the BLAS gives a row block of `points @ points.T` the bits of
@@ -135,23 +125,11 @@ def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     n = points.shape[0]
     rows = min(n, max(1, TILE_ELEMENTS // n))
     starts = range(0, n, rows)
-    workers = min(MAX_WORKERS, _usable_cpus(), len(starts))
     sq = (points**2).sum(axis=1)
     out = np.empty((n, k))
     strip_rows = min(rows, max(1, STRIP_ELEMENTS // n))
-    buffers = [(np.empty((rows, n)), np.empty((strip_rows, n))) for _ in range(workers)]
-
-    def search(w: int) -> None:
-        g, strip = buffers[w]
-        for s in starts[w::workers]:
-            _nn_tile(points, sq, s, k, g[: n - s], strip, out)
-
-    if workers == 1:
-        search(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(search, w) for w in range(workers)]:
-                done.result()
+    _each_slab((len(starts),), lambda i, buffers: _nn_tile(points, sq, starts[i], k, *buffers, out),
+               lambda: (np.empty((rows, n)), np.empty((strip_rows, n))))
     return np.sqrt(out, out=out)
 
 

@@ -70,7 +70,8 @@ def _format_column(values, block: int):
         elif kind in ("i", "u"):
             yield list(map(str, part.tolist()))
         elif kind == "f":
-            yield list(map(repr, part.astype(np.float64, copy=False).tolist()))
+            # no float's repr holds ", "; no block is empty (split would give [""])
+            yield repr(part.astype(np.float64, copy=False).tolist())[1:-1].split(", ")
         else:
             yield [_format_cell(v) for v in part]
 

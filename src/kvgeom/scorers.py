@@ -18,7 +18,7 @@ import numpy as np
 
 from .attention import attention_weights
 from .errors import ValidationError
-from .tensor import KeyTensor, ScoreTensor, freeze
+from .tensor import KeyTensor, ScoreTensor, _each_slab, freeze
 
 # Guard for unit-normalizing degenerate (zero-norm) keys.
 NORM_EPS = 1e-12
@@ -155,12 +155,10 @@ def _col_mean(x: np.ndarray, buf: np.ndarray, scale: np.ndarray | None = None) -
 
 def _row_scores(t: KeyTensor, kernel) -> ScoreTensor:
     """Scores from `kernel(x, buf, out)` per (batch, head): its float32 (seq, dim)
-    rows `x`, one reused float64 buffer of ROW_CHUNK + 1 rows, its score row `out`."""
+    rows `x`, its worker's float64 buffer of ROW_CHUNK + 1 rows, its score row `out`."""
     scores = np.empty(t.shape[:3], dtype=np.float64)
-    buf = np.empty((min(t.seq_len, ROW_CHUNK) + 1, t.head_dim))
-    for b in range(t.batch):
-        for h in range(t.heads):
-            kernel(t.data[b, h], buf, scores[b, h])
+    _each_slab(t.shape[:2], lambda b, h, buf: kernel(t.data[b, h], buf, scores[b, h]),
+               lambda: np.empty((min(t.seq_len, ROW_CHUNK) + 1, t.head_dim)))
     return ScoreTensor(freeze(scores))
 
 

@@ -9,7 +9,10 @@ interchange contract; in-memory arrays are native-endian.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,8 @@ from .errors import ValidationError
 
 MAGIC = b"KVT1"
 _HEADER = struct.Struct("<4sIIII")
+# Slabs in flight at once, one per worker thread, each with its own scratch.
+MAX_WORKERS = 2
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -45,6 +50,37 @@ def all_finite(arr: np.ndarray) -> bool:
         if not np.isfinite(part, out=buf[: part.size]).all():
             return False
     return True
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each_slab(shape: tuple, work, scratch=lambda: None) -> None:
+    """Call `work(*index, buf)` for every index of `shape`, such as (batch, heads).
+
+    Index i (C order) goes to worker i mod w, w = min(MAX_WORKERS, usable CPUs,
+    indices), which owns a `buf` from `scratch()` made on the calling thread
+    (whose later allocations then reuse its memory). Runs inline when w is 1
+    or off the main thread (a sweep job, a slab of another loop). Each slab
+    runs the same operations on any worker, so results do not depend on w.
+    """
+    slabs = list(np.ndindex(shape))
+    on_main = threading.current_thread() is threading.main_thread()
+    workers = min(MAX_WORKERS, _usable_cpus(), len(slabs)) if on_main else 1
+    bufs = [scratch() for _ in range(workers)]
+
+    def run(w: int) -> None:
+        for index in slabs[w::workers]:
+            work(*index, bufs[w])
+
+    if workers == 1:
+        return run(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(workers)))  # raises a worker's error
 
 
 def _adopt(data, dtype) -> np.ndarray:
@@ -184,8 +220,8 @@ def load_kvt(path) -> KeyTensor:
 
     Raises ValidationError on bad magic, zero header dims, payload length
     mismatch, or non-finite payload values. The header is checked against
-    the file size before anything is allocated; the payload is then read
-    straight into the tensor's array, and KeyTensor checks it for finiteness.
+    the file size before anything is allocated; each (batch, head) slab is then
+    read straight into the tensor's array, and KeyTensor checks it for finiteness.
     """
     with open(path, "rb") as fh:
         size = fh.seek(0, 2)  # offset of the end: the file size
@@ -205,7 +241,18 @@ def load_kvt(path) -> KeyTensor:
                 f"payload length mismatch: expected {expected} bytes, got {actual}"
             )
         data = np.empty(dims, dtype="<f4")
-        got = fh.readinto(data)
+        slabs = data.reshape(batch * heads, -1).view(np.uint8)
+        got = [0] * len(slabs)
+
+        def read(i, _):  # until the slab is full or the file ends
+            view, start = memoryview(slabs[i]), _HEADER.size + i * slabs.shape[1]
+            while got[i] < len(view) and (
+                n := os.preadv(fh.fileno(), [view[got[i] :]], start + got[i])
+            ):
+                got[i] += n
+
+        _each_slab((len(slabs),), read)
+        got = sum(got)
         if got != expected:  # the file shrank since its size was taken
             raise ValidationError(
                 f"payload length mismatch: expected {expected} bytes, got {got}"

@@ -29,7 +29,7 @@ from kvgeom import (
     save_kvt,
     save_sidecar,
 )
-from kvgeom import cli
+from kvgeom import cli, tensor
 from kvgeom.cli import COMMANDS, build_parser, main, parse_config
 from kvgeom.scorers import METHOD_TABLE
 from kvgeom.tensor import freeze
@@ -315,6 +315,66 @@ class TestValidationFailures:
         assert code == 2
         _assert_documented_exit(code, err)
         assert json.loads(err)["error"] == "MemoryError"
+
+
+class TestSlabWorkerErrors:
+    """Bad payloads that two workers read, one (batch, head) slab each in turn."""
+
+    SHAPE = (2, 3, 700, 16)  # six slabs: the second worker reads the last one
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+
+    def _write(self, path, nan=False, prefix=b"KVT1"):
+        data = rng(len(path.name)).normal(size=self.SHAPE).astype("<f4")
+        if nan:
+            data[-1, -1, -1, -1] = np.nan
+        path.write_bytes(KVT_HEADER.pack(prefix, *self.SHAPE) + data.tobytes())
+        return str(path)
+
+    @staticmethod
+    def _message(capsys, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        _assert_documented_exit(code, err)
+        return json.loads(err)["message"]
+
+    def test_nan_in_the_last_slab(self, capsys, tmp_path):
+        keys = self._write(tmp_path / "k.kvt", nan=True)
+        message = self._message(capsys, "score", "--input", keys, "--method", "manifold",
+                                "--out", str(tmp_path / "o.csv"))
+        assert message == "tensor contains NaN or Inf"
+
+    def test_short_read_in_the_second_workers_slab(self, capsys, monkeypatch, tmp_path):
+        keys = self._write(tmp_path / "k.kvt")
+        slab = 4 * math.prod(self.SHAPE[2:])
+        end = 20 + 5 * slab + 100  # the file is cut off here once its size was taken
+        preadv = os.preadv
+        monkeypatch.setattr(tensor.os, "preadv", lambda fd, buffers, offset: preadv(
+            fd, [memoryview(buffers[0])[: max(0, end - offset)]], offset))
+        message = self._message(capsys, "score", "--input", keys, "--method", "manifold",
+                                "--out", str(tmp_path / "o.csv"))
+        assert message == f"payload length mismatch: expected {6 * slab} bytes, got {end - 20}"
+
+    def test_compress_reports_keys_then_values_then_queries(self, capsys, tmp_path):
+        bad = {"keys": self._write(tmp_path / "bad-k.kvt", nan=True),
+               "values": str(tmp_path / "bad-v.kvt"),
+               "queries": self._write(tmp_path / "bad-q.kvt", prefix=b"KVT2")}
+        Path(bad["values"]).write_bytes(Path(self._write(tmp_path / "v.kvt")).read_bytes()[:-4])
+        good = {name: self._write(tmp_path / f"{name}.kvt") for name in bad}
+        expected = ["tensor contains NaN or Inf",
+                    f"payload length mismatch: expected {4 * math.prod(self.SHAPE)} bytes, "
+                    f"got {4 * math.prod(self.SHAPE) - 4}",
+                    "bad magic b'KVT2', expected b'KVT1'"]
+        for fixed, message in zip([(), ("keys",), ("keys", "values")], expected):
+            files = {name: good[name] if name in fixed else bad[name] for name in bad}
+            assert self._message(
+                capsys, "compress", "--keys", files["keys"], "--values", files["values"],
+                "--method", "obs_attention", "--obs-window", "4", "--queries", files["queries"],
+                "--rho", "0.5", "--out-keys", str(tmp_path / "ok.kvt"),
+                "--out-values", str(tmp_path / "ov.kvt"), "--out-mask", str(tmp_path / "m.json"),
+            ) == message
 
 
 class TestQueriesFlag:

@@ -15,6 +15,7 @@ from kvgeom import (
     pca_effective_dim,
     twonn_dim,
 )
+from kvgeom import tensor
 
 from conftest import rng
 
@@ -306,7 +307,7 @@ class TestTiledNeighborSearch:
 
     @staticmethod
     def _table_on(cpus, points, k):
-        with mock.patch.object(manifold, "_usable_cpus", return_value=cpus):
+        with mock.patch.object(tensor, "_usable_cpus", return_value=cpus):
             return manifold._sorted_nn_dists(points, k)
 
     @pytest.mark.parametrize("n", TILE_BOUNDARY_SIZES)
@@ -325,14 +326,14 @@ class TestTiledNeighborSearch:
     def test_one_tile_starts_no_thread(self):
         points = np.random.default_rng(0).normal(size=(ONE_TILE, 4))
         no_pool = mock.Mock(side_effect=AssertionError("a one-tile search started a thread"))
-        with mock.patch.object(manifold, "ThreadPoolExecutor", no_pool):
+        with mock.patch.object(tensor, "ThreadPoolExecutor", no_pool):
             self._table_on(8, points, 2)
 
     def test_never_more_than_two_workers(self):
         ragged = TILE_BOUNDARY_SIZES[2]  # three tiles
         points = np.random.default_rng(0).normal(size=(ragged, 2))
         with mock.patch.object(
-            manifold, "ThreadPoolExecutor", wraps=manifold.ThreadPoolExecutor
+            tensor, "ThreadPoolExecutor", wraps=tensor.ThreadPoolExecutor
         ) as pool:
             self._table_on(64, points, 2)
         pool.assert_called_once_with(max_workers=2)

@@ -171,6 +171,29 @@ def test_integer_column_equals_str_of_each_cell(values, block):
     assert [cell for b in blocks for cell in b] == list(map(str, values.tolist()))
 
 
+# signed zeros and subnormals, then both sides of repr's switches to
+# exponent notation below 1e-4 and from 1e16
+FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-45, 1e-4,
+               1e-05, 9.999999999999999e-06, -1e-05, 9999999999999998.0, 1e16, -1e16,
+               1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(FLOAT_EDGES) | st.floats(), max_size=300),
+       st.sampled_from(["float64", "float32"]), st.integers(1, 310))
+@example([], "float64", CSV_BLOCK_ROWS)
+@example([-0.0], "float64", CSV_BLOCK_ROWS)
+@example([5e-324, -0.0, 1e-05, 1e16], "float64", 1)
+@example([1e-45, -0.0, 1e-05, 1e16], "float32", 3)
+def test_float_column_equals_repr_of_each_cell(cells, dtype, block):
+    with np.errstate(over="ignore"):  # float32 holds a large float as inf
+        values = np.array(cells, dtype=np.float64).astype(dtype)
+    blocks = list(_format_column(values, block))
+    assert [len(b) for b in blocks] == [len(values[s : s + block])
+                                        for s in range(0, len(values), block)]
+    assert [cell for b in blocks for cell in b] == list(map(repr, values.tolist()))
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 def test_one_lookup_table_per_column_across_blocks(monkeypatch, block):
     # columns whose blocks each span other values than the whole column does

@@ -1,9 +1,27 @@
+import os
 import struct
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from kvgeom import KeyTensor, ScoreTensor, ValidationError, load_kvt, save_kvt
+from kvgeom import (
+    KeyTensor,
+    ScoreTensor,
+    ScorerSpec,
+    ValidationError,
+    attention,
+    compress_cache,
+    compute_scores,
+    load_kvt,
+    manifold_score,
+    preservation_error,
+    retention_from_scores,
+    save_kvt,
+)
+from kvgeom import tensor
+from kvgeom.scorers import METHOD_TABLE
 from kvgeom.tensor import all_finite, freeze
 
 from conftest import kt, random_tensor, rng
@@ -177,3 +195,115 @@ class TestAllFinite:
                     assert all_finite(arr[::-3]) == bool(np.isfinite(arr[::-3]).all())
                     assert not all_finite(arr.reshape(1, -1).T)
                     arr[pos] = 0.0
+
+
+# ------------------------------------------------------------ slab workers
+
+# six (batch, head) slabs, three per worker; 700 rows is not a multiple of
+# the scorers' row blocks
+RAGGED = (2, 3, 700, 16)
+PARAMETERS = {"window_size": 64, "hybrid_lambda": 0.3, "obs_window": 4}
+# per-head budgets of different sizes, so the compressed cache is padded
+BUDGETS = np.array([[700, 350, 1], [2, 699, 100]])
+
+
+def _spec(method):
+    field = METHOD_TABLE[method].field
+    return ScorerSpec(method, **({field: PARAMETERS[field]} if field else {}))
+
+
+def _slab_outputs(path, queries, values):
+    """Every slab loop's output on the tensor at `path`, as bytes."""
+    keys = load_kvt(path)
+    out = {"load": keys.data.tobytes()}
+    for method in METHOD_TABLE:
+        out[method] = compute_scores(_spec(method), keys, queries).data.tobytes()
+    full = attention(queries, keys, values)
+    out["attention"] = full.weights.tobytes() + full.values.tobytes()
+    retained = retention_from_scores(manifold_score(keys), BUDGETS[: keys.batch, : keys.heads])
+    out["preservation"] = repr(preservation_error(queries, keys, values, retained))
+    cache = compress_cache(keys, values, retained)
+    out["compress"] = cache.keys.data.tobytes() + cache.values.data.tobytes() + cache.mask.tobytes()
+    return out
+
+
+def _on(cpus, fn, *args):
+    """fn(*args) with `cpus` usable CPUs, and whether it started a worker pool."""
+    with mock.patch.object(tensor, "_usable_cpus", return_value=cpus), mock.patch.object(
+        tensor, "ThreadPoolExecutor", wraps=tensor.ThreadPoolExecutor
+    ) as pool:
+        return fn(*args), pool.called
+
+
+class TestSlabWorkers:
+    @staticmethod
+    def _inputs(tmp_path, shape):
+        g = rng(sum(shape))
+        path = tmp_path / "keys.kvt"
+        save_kvt(KeyTensor(g.normal(size=shape) * 3.0), path)
+        queries = KeyTensor(g.normal(size=shape[:2] + (9, shape[3])))
+        return path, queries, KeyTensor(g.normal(size=shape))
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path):
+        inputs = self._inputs(tmp_path, RAGGED)
+        one, pooled_one = _on(1, _slab_outputs, *inputs)
+        two, pooled_two = _on(2, _slab_outputs, *inputs)
+        assert not pooled_one and pooled_two
+        assert two == one
+
+    def test_slab_i_goes_to_worker_i_mod_2_with_its_own_buffer(self):
+        owners, makers = {}, []
+
+        def scratch():  # each worker's buffer, made on the calling thread
+            makers.append(threading.current_thread())
+            return object()
+
+        _on(8, tensor._each_slab, (2, 3), lambda b, h, buf: owners.update({(b, h): buf}), scratch)
+        assert makers == [threading.main_thread()] * 2
+        first, second = owners[0, 0], owners[0, 1]
+        assert first is not second
+        assert [owners[i] for i in np.ndindex(2, 3)] == [first, second] * 3
+
+    def test_one_slab_starts_no_thread(self, tmp_path):
+        inputs = self._inputs(tmp_path, (1, 1, 700, 16))
+        no_pool = mock.Mock(side_effect=AssertionError("a one-slab loop started a thread"))
+        with mock.patch.object(tensor, "ThreadPoolExecutor", no_pool):
+            _on(8, _slab_outputs, *inputs)
+
+    def test_off_the_main_thread_starts_no_thread(self, tmp_path):
+        inputs = self._inputs(tmp_path, RAGGED)
+        expected, _ = _on(1, _slab_outputs, *inputs)
+        result = []  # a sweep job's outputs, and whether it started a pool
+        job = threading.Thread(target=lambda: result.append(_on(8, _slab_outputs, *inputs)))
+        job.start()
+        job.join(timeout=60)
+        assert not job.is_alive()
+        assert result == [(expected, False)]
+
+    def test_short_read_in_the_second_workers_slab(self, tmp_path):
+        path, _, _ = self._inputs(tmp_path, RAGGED)
+        slab = RAGGED[2] * RAGGED[3] * 4
+        last = 20 + 5 * slab  # offset of the last slab, which the second worker reads
+        end = last + 100  # where the file is cut off once its size was taken
+        preadv, readers = os.preadv, set()
+
+        def shrunk(fd, buffers, offset):
+            if offset >= last:
+                readers.add(threading.current_thread())
+            return preadv(fd, [memoryview(buffers[0])[: max(0, end - offset)]], offset)
+
+        with mock.patch.object(tensor.os, "preadv", shrunk):
+            with pytest.raises(ValidationError) as err:
+                _on(2, load_kvt, path)
+        assert str(err.value) == (
+            f"payload length mismatch: expected {6 * slab} bytes, got {end - 20}"
+        )
+        assert readers and threading.main_thread() not in readers
+
+    def test_nan_in_the_last_slab(self, tmp_path):
+        data = rng(1).normal(size=RAGGED).astype("<f4")
+        data[-1, -1, -1, -1] = np.nan
+        path = tmp_path / "nan.kvt"
+        path.write_bytes(struct.pack("<4sIIII", b"KVT1", *RAGGED) + data.tobytes())
+        with pytest.raises(ValidationError, match=r"^tensor contains NaN or Inf$"):
+            _on(2, load_kvt, path)
