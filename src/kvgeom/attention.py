@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import KeyTensor, _each_slab, all_finite
+from .tensor import KeyTensor, _check_frames, _each_slab, all_finite
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _check_frames(q: KeyTensor, k: KeyTensor, v: KeyTensor | None = None) -> None:
-    if v is not None and (k.batch != v.batch or k.heads != v.heads or k.seq_len != v.seq_len):
-        raise ValidationError(f"key shape {k.shape} incompatible with value shape {v.shape}")
-    if q.batch != k.batch or q.heads != k.heads or q.head_dim != k.head_dim:
-        raise ValidationError(f"query shape {q.shape} incompatible with key shape {k.shape}")
-
-
 def _slab_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     # softmax(q k^T / sqrt(d)) for one (batch, head) pair of float64 matrices
     logits = q @ k.T
@@ -51,7 +44,7 @@ def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
 
     Queries and keys go to float64 one (batch, head) slab at a time, keys into a worker's buffer.
     """
-    _check_frames(queries, keys)
+    _check_frames(keys, q=queries)
     out = np.empty(queries.shape[:3] + (keys.seq_len,))
 
     def slab(bi, hi, k):
@@ -64,7 +57,7 @@ def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
 
 def attention(q: KeyTensor, k: KeyTensor, v: KeyTensor) -> AttentionOutput:
     """Full attention output: weights and weighted values."""
-    _check_frames(q, k, v)
+    _check_frames(k, v, q)
     weights = attention_weights(q, k)
     values = np.empty(q.shape[:3] + (v.head_dim,))
     _each_slab(k.shape[:2], lambda bi, hi, _: np.matmul(
@@ -80,9 +73,7 @@ def preservation_error(q: KeyTensor, k: KeyTensor, v: KeyTensor, retained) -> fl
     Zero when everything is retained. Holds one (batch, head) slab of each
     tensor in float64 at a time per worker.
     """
-    _check_frames(q, k, v)
-    if retained.keep.shape != k.shape[:3]:
-        raise ValidationError("retention set frame does not match tensors")
+    _check_frames(k, v, q, retained)
     full = np.empty(q.shape[:3] + (v.head_dim,))
     kept = np.empty_like(full)
 

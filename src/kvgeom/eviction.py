@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import KeyTensor, ScoreTensor, _adopt, _each_slab, all_finite, freeze
+from .tensor import KeyTensor, ScoreTensor, _check_frames, _each_slab, _Frame, all_finite, freeze
 
 BUDGET_MODES = ("uniform", "proportional")
 
@@ -49,36 +49,20 @@ def topk_select(scores, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RetentionSet:
+class RetentionSet(_Frame):
     """Which tokens each (batch, head) keeps: a read-only (batch, heads,
     seq_len) bool mask with at least one True per head."""
 
     keep: np.ndarray
+    _field = "keep"
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity
 
     def __post_init__(self):
         dtype = np.asarray(self.keep).dtype
         if dtype != np.bool_:  # an int index array must not pass as a 0/1 mask
             raise ValidationError(f"keep must be a bool mask, got dtype {dtype}")
-        arr = _adopt(self.keep, np.bool_)
-        if arr.ndim != 3:
-            raise ValidationError(f"expected 3 axes (batch, heads, seq), got {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ValidationError(f"all axes must be >= 1, got shape {arr.shape}")
-        if not arr.any(axis=2).all():
+        if not self._adopt(np.bool_, 3).any(axis=2).all():
             raise ValidationError("each head must retain at least one token")
-        object.__setattr__(self, "keep", arr)
-
-    @property
-    def batch(self) -> int:
-        return self.keep.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.keep.shape[1]
-
-    @property
-    def seq_len(self) -> int:
-        return self.keep.shape[2]
 
     @property
     def counts(self) -> np.ndarray:
@@ -134,12 +118,7 @@ def compress_cache(keys: KeyTensor, values: KeyTensor, retained: RetentionSet) -
     references holds at most three cache-sized arrays (keys, values and the
     keys' output, then values and both outputs), not four.
     """
-    if (keys.batch, keys.heads, keys.seq_len) != (values.batch, values.heads, values.seq_len):
-        raise ValidationError(
-            f"key shape {keys.shape} incompatible with value shape {values.shape}"
-        )
-    if retained.keep.shape != keys.shape[:3]:
-        raise ValidationError("retention set frame does not match tensors")
+    _check_frames(keys, values, retained=retained)
     counts = retained.counts
     mask = np.arange(counts.max()) < counts[..., None]
     out_keys = _gather(keys, retained.keep, counts)

@@ -18,14 +18,10 @@ import numpy as np
 
 from .attention import attention_weights
 from .errors import ValidationError
-from .tensor import KeyTensor, ScoreTensor, _each_slab, freeze
+from .tensor import ROW_CHUNK, KeyTensor, ScoreTensor, _each_slab, freeze
 
 # Guard for unit-normalizing degenerate (zero-norm) keys.
 NORM_EPS = 1e-12
-
-# Rows the geometric scorers and the cluster generator convert to float64 at a
-# time: 256 rows of 128 float64 values are 256 KiB, which stays in L2 cache.
-ROW_CHUNK = 256
 
 
 class Method(NamedTuple):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ValidationError, json_value, parse_file
-from .scorers import ROW_CHUNK
-from .tensor import KeyTensor, freeze
+from .tensor import ROW_CHUNK, KeyTensor, freeze
 
 SCENARIO_KINDS = ("subspace", "radial", "clusters", "collision")
 QUERY_MODES = ("random", "needle_probing")
@@ -335,7 +335,7 @@ def gen_cluster_mixture(
 
 
 def gen_collision_scenario(
-    magnitudes, epsilon: float, n: int, d: int, seed: int
+    magnitudes: list[float], epsilon: float, n: int, d: int, seed: int
 ) -> Scenario:
     """Several needles sharing one direction with distinct magnitudes.
 
@@ -416,37 +416,20 @@ def gen_queries(
     return _as_tensor(q)
 
 
-# kind -> (generator, its argument names with the JSON type a sidecar must give each)
-_GENERATORS = {
-    "subspace": (
-        gen_subspace_scenario,
-        {"n": int, "d": int, "k": int, "sigma": float, "n_out": int, "epsilon": float,
-         "seed": int, "strict_separation": bool, "center_scale": float},
-    ),
-    "radial": (
-        gen_radial_failure,
-        {"alpha": float, "epsilon": float, "n": int, "d": int, "seed": int},
-    ),
-    "clusters": (
-        gen_cluster_mixture,
-        {"n": int, "d": int, "k_clusters": int, "spread": float, "separation": float,
-         "seed": int, "shuffle": bool},
-    ),
-    "collision": (
-        gen_collision_scenario,
-        {"magnitudes": list[float], "epsilon": float, "n": int, "d": int, "seed": int},
-    ),
-}
+_GENERATORS = {"subspace": gen_subspace_scenario, "radial": gen_radial_failure,
+               "clusters": gen_cluster_mixture, "collision": gen_collision_scenario}
 
 
 def regenerate(kind: str, params: dict) -> Scenario:
     """Rebuild a scenario from its kind and echoed input params.
 
-    Each argument's value must have the JSON type listed in _GENERATORS.
+    Each argument's value must have the JSON type its generator annotates.
     """
     if not isinstance(kind, str) or kind not in _GENERATORS:
         raise ValidationError(f"unknown scenario kind {kind!r}")
-    fn, arg_types = _GENERATORS[kind]
+    fn = _GENERATORS[kind]
+    arg_types = get_type_hints(fn)
+    del arg_types["return"]
     missing = [a for a in arg_types if a not in params]
     if missing:
         raise ValidationError(f"scenario params missing {missing} for kind {kind!r}")

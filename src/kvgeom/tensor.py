@@ -23,6 +23,9 @@ MAGIC = b"KVT1"
 _HEADER = struct.Struct("<4sIIII")
 # Slabs in flight at once, one per worker thread, each with its own scratch.
 MAX_WORKERS = 2
+# Rows the geometric scorers and the cluster generator convert to float64 at a
+# time: 256 rows of 128 float64 values are 256 KiB, which stays in L2 cache.
+ROW_CHUNK = 256
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -83,27 +86,78 @@ def _each_slab(shape: tuple, work, scratch=lambda: None) -> None:
         list(pool.map(run, range(workers)))  # raises a worker's error
 
 
-def _adopt(data, dtype) -> np.ndarray:
-    """`data` as a read-only C-ordered array of `dtype`.
+_AXES = ("batch", "heads", "seq", "dim")
 
-    An array handed over with `freeze` (a plain ndarray that owns its
-    memory, is read-only, C-ordered and of `dtype`) is kept as it is.
-    Anything else is copied, so a caller's writeable array is never frozen
-    or aliased.
+
+class _Frame:
+    """Base of the arrays framed by (batch, heads, seq) axes: keys, scores and
+    keep masks, which every scorer ranks one (batch, head) row at a time.
+
+    A subclass is a frozen dataclass with one array field, named by `_field`;
+    its own `__post_init__` calls `_adopt` with its dtype and rank, then checks
+    the array's contents. KeyTensor and ScoreTensor compare by value.
     """
-    if (
-        type(data) is np.ndarray
-        and data.dtype == dtype
-        and data.flags.owndata
-        and not data.flags.writeable
-        and data.flags.c_contiguous
-    ):
-        return data
-    return freeze(np.array(data, dtype=dtype, order="C"))
+
+    _field = "data"
+
+    def _adopt(self, dtype, rank: int) -> np.ndarray:
+        """Store the field as a read-only C-ordered array of `dtype` with `rank`
+        non-empty axes, and return it.
+
+        An array handed over with `freeze` (a plain ndarray that owns its
+        memory, is read-only, C-ordered and of `dtype`) is kept as it is.
+        Anything else is copied, so a caller's writeable array is never frozen
+        or aliased.
+        """
+        arr = getattr(self, self._field)
+        if not (type(arr) is np.ndarray and arr.dtype == dtype and arr.flags.owndata
+                and not arr.flags.writeable and arr.flags.c_contiguous):
+            arr = freeze(np.array(arr, dtype=dtype, order="C"))
+        if arr.ndim != rank:
+            axes = ", ".join(_AXES[:rank])
+            raise ValidationError(f"expected {rank} axes ({axes}), got {arr.ndim}")
+        if min(arr.shape) < 1:
+            raise ValidationError(f"all axes must be >= 1, got shape {arr.shape}")
+        object.__setattr__(self, self._field, arr)
+        return arr
+
+    @property
+    def shape(self) -> tuple:
+        return getattr(self, self._field).shape
+
+    @property
+    def batch(self) -> int:
+        return self.shape[0]
+
+    @property
+    def heads(self) -> int:
+        return self.shape[1]
+
+    @property
+    def seq_len(self) -> int:
+        return self.shape[2]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.data, other.data)
+
+
+def _check_frames(k: KeyTensor, v: KeyTensor | None = None, q: KeyTensor | None = None,
+                  retained: _Frame | None = None) -> None:
+    """Raise ValidationError unless values `v` and the keep mask `retained`
+    share the keys' (batch, heads, seq) frame, and queries `q` their (batch,
+    heads) and head_dim; checked in the order v, q, retained."""
+    if v is not None and v.shape[:3] != k.shape[:3]:
+        raise ValidationError(f"key shape {k.shape} incompatible with value shape {v.shape}")
+    if q is not None and (q.batch, q.heads, q.head_dim) != (k.batch, k.heads, k.head_dim):
+        raise ValidationError(f"query shape {q.shape} incompatible with key shape {k.shape}")
+    if retained is not None and retained.shape != k.shape[:3]:
+        raise ValidationError("retention set frame does not match tensors")
 
 
 @dataclass(frozen=True, eq=False)
-class KeyTensor:
+class KeyTensor(_Frame):
     """Immutable (batch, heads, seq_len, head_dim) float32 tensor.
 
     Holds key, value or query vectors; every (batch, head) slice is an
@@ -114,72 +168,27 @@ class KeyTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _adopt(self.data, np.float32)
-        if arr.ndim != 4:
-            raise ValidationError(f"expected 4 axes (batch, heads, seq, dim), got {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ValidationError(f"all axes must be >= 1, got shape {arr.shape}")
-        if not all_finite(arr):
+        if not all_finite(self._adopt(np.float32, 4)):
             raise ValidationError("tensor contains NaN or Inf")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def batch(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def seq_len(self) -> int:
-        return self.data.shape[2]
 
     @property
     def head_dim(self) -> int:
         return self.data.shape[3]
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
     def matrix(self, batch: int, head: int) -> np.ndarray:
         """The (seq_len, head_dim) float64 matrix for one (batch, head) pair."""
         return self.data[batch, head].astype(np.float64)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KeyTensor):
-            return NotImplemented
-        return self.data.shape == other.data.shape and np.array_equal(self.data, other.data)
-
 
 @dataclass(frozen=True, eq=False)
-class ScoreTensor:
+class ScoreTensor(_Frame):
     """Per-token scores aligned with a KeyTensor's (batch, heads, seq) axes."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _adopt(self.data, np.float64)
-        if arr.ndim != 3:
-            raise ValidationError(f"expected 3 axes (batch, heads, seq), got {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ValidationError(f"all axes must be >= 1, got shape {arr.shape}")
-        if not all_finite(arr):
+        if not all_finite(self._adopt(np.float64, 3)):
             raise ValidationError("score tensor contains NaN or Inf")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def batch(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def seq_len(self) -> int:
-        return self.data.shape[2]
 
     def to_key_tensor(self) -> KeyTensor:
         """Repack as a KeyTensor with head_dim = 1 (for KVT1 serialization).
@@ -187,20 +196,16 @@ class ScoreTensor:
         Raises ValidationError when a score lies beyond the float32 range.
         """
         out = np.empty(self.data.shape + (1,), dtype=np.float32)
-        # scores beyond float32 range become inf here, and are refused below
+        # scores beyond float32 range become inf here, which KeyTensor refuses
         with np.errstate(over="ignore"):
             np.copyto(out[..., 0], self.data, casting="same_kind")
-        if not all_finite(out):
+        try:
+            return KeyTensor(freeze(out))
+        except ValidationError:
             limit = float(np.finfo(np.float32).max)
             raise ValidationError(
                 f"scores exceed the float32 range of a KVT1 tensor (|score| <= {limit:.7g})"
-            )
-        return KeyTensor(freeze(out))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScoreTensor):
-            return NotImplemented
-        return self.data.shape == other.data.shape and np.array_equal(self.data, other.data)
+            ) from None
 
 
 def save_kvt(t: KeyTensor, path) -> None:
@@ -220,8 +225,8 @@ def load_kvt(path) -> KeyTensor:
 
     Raises ValidationError on bad magic, zero header dims, payload length
     mismatch, or non-finite payload values. The header is checked against
-    the file size before anything is allocated; each (batch, head) slab is then
-    read straight into the tensor's array, and KeyTensor checks it for finiteness.
+    the file size before anything is allocated; the payload is then read
+    straight into the tensor's array, and KeyTensor checks it for finiteness.
     """
     with open(path, "rb") as fh:
         size = fh.seek(0, 2)  # offset of the end: the file size
@@ -241,18 +246,10 @@ def load_kvt(path) -> KeyTensor:
                 f"payload length mismatch: expected {expected} bytes, got {actual}"
             )
         data = np.empty(dims, dtype="<f4")
-        slabs = data.reshape(batch * heads, -1).view(np.uint8)
-        got = [0] * len(slabs)
-
-        def read(i, _):  # until the slab is full or the file ends
-            view, start = memoryview(slabs[i]), _HEADER.size + i * slabs.shape[1]
-            while got[i] < len(view) and (
-                n := os.preadv(fh.fileno(), [view[got[i] :]], start + got[i])
-            ):
-                got[i] += n
-
-        _each_slab((len(slabs),), read)
-        got = sum(got)
+        view, got = memoryview(data.reshape(-1).view(np.uint8)), 0
+        # until the payload is full or the file ends
+        while got < expected and (n := os.preadv(fh.fileno(), [view[got:]], _HEADER.size + got)):
+            got += n
         if got != expected:  # the file shrank since its size was taken
             raise ValidationError(
                 f"payload length mismatch: expected {expected} bytes, got {got}"

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from kvgeom import (
     KeyTensor,
+    RetentionSet,
     ScorerSpec,
     ValidationError,
     attention,
     attention_weights,
+    compress_cache,
     compute_scores,
     gen_queries,
     gen_subspace_scenario,
@@ -129,6 +131,37 @@ class TestAttention:
                 random_tensor(1, seq=5, dim=4),
                 random_tensor(2, seq=6, dim=4),
             )
+
+
+# Each call's inputs by shape: 4 axes make a KeyTensor, 3 a keep-all RetentionSet.
+# The keys are (1, 2, 5, 4); values and the keep mask must share their (batch,
+# heads, seq), queries their (batch, heads) and dim, checked in that order.
+KEY_VS = "key shape (1, 2, 5, 4) incompatible with value shape "
+QUERY_VS = " incompatible with key shape (1, 2, 5, 4)"
+FRAME = "retention set frame does not match tensors"
+
+
+@pytest.mark.parametrize("fn, shapes, message", [
+    (attention_weights, [(1, 2, 3, 3), (1, 2, 5, 4)], "query shape (1, 2, 3, 3)" + QUERY_VS),
+    (attention_weights, [(1, 1, 3, 4), (1, 2, 5, 4)], "query shape (1, 1, 3, 4)" + QUERY_VS),
+    (attention, [(2, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4)], "query shape (2, 2, 3, 4)" + QUERY_VS),
+    (attention, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 2, 6, 4)], KEY_VS + "(1, 2, 6, 4)"),
+    (preservation_error, [(1, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 7), (1, 2, 6)], FRAME),
+    (preservation_error, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 6)],
+     "query shape (1, 2, 3, 3)" + QUERY_VS),
+    (preservation_error, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 1, 5, 4), (1, 2, 6)],
+     KEY_VS + "(1, 1, 5, 4)"),
+    (compress_cache, [(1, 2, 5, 4), (1, 2, 5, 7), (1, 1, 5)], FRAME),
+    (compress_cache, [(1, 2, 5, 4), (2, 2, 5, 4), (1, 1, 5)], KEY_VS + "(2, 2, 5, 4)"),
+], ids=["weights-dim", "weights-heads", "attention-batch", "attention-values-first",
+        "preservation-frame", "preservation-queries-first", "preservation-values-first",
+        "compress-frame", "compress-values-first"])
+def test_frame_mismatch_messages(fn, shapes, message):
+    args = [KeyTensor(rng(i).normal(size=s)) if len(s) == 4 else RetentionSet(np.ones(s, bool))
+            for i, s in enumerate(shapes)]
+    with pytest.raises(ValidationError) as err:
+        fn(*args)
+    assert str(err.value) == message
 
 
 class TestPreservationError:

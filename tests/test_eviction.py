@@ -117,16 +117,35 @@ class TestRetentionSet:
             RetentionSet([[[1, 0]]])  # a 0/1 int list is not a mask either
         assert RetentionSet([[[True, False]]]).keep.tolist() == [[[True, False]]]
 
-    @pytest.mark.parametrize("keep, message", [
-        (np.array([[[0, 2]]]), "keep must be a bool mask, got dtype int64"),
-        (np.array([[[0.0, 1.0]]]), "keep must be a bool mask, got dtype float64"),
-        (np.ones((2, 3), dtype=bool), r"expected 3 axes \(batch, heads, seq\), got 2"),
-        (np.ones((1, 2, 0), dtype=bool), r"all axes must be >= 1, got shape \(1, 2, 0\)"),
-        (np.array([[[True, False], [False, False]]]), "each head must retain at least one token"),
-    ], ids=["int", "float", "two-axes", "empty-axis", "empty-head"])
-    def test_rejections_name_the_fault(self, keep, message):
-        with pytest.raises(ValidationError, match=message):
-            RetentionSet(keep)
+    # every frame check's exact message, from the base they share and from each
+    # type's own dtype and content check
+    @pytest.mark.parametrize("make, data, message", [
+        (RetentionSet, np.array([[[0, 2]]]), "keep must be a bool mask, got dtype int64"),
+        (RetentionSet, np.array([[[0.0, 1.0]]]), "keep must be a bool mask, got dtype float64"),
+        (RetentionSet, np.ones((2, 3), dtype=bool), "expected 3 axes (batch, heads, seq), got 2"),
+        (RetentionSet, np.ones((1, 2, 0), dtype=bool),
+         "all axes must be >= 1, got shape (1, 2, 0)"),
+        (RetentionSet, np.array([[[True, False], [False, False]]]),
+         "each head must retain at least one token"),
+        (KeyTensor, np.ones((1, 2, 3)), "expected 4 axes (batch, heads, seq, dim), got 3"),
+        (KeyTensor, np.ones((1, 1, 1, 1, 1)), "expected 4 axes (batch, heads, seq, dim), got 5"),
+        (KeyTensor, np.ones((1, 2, 0, 4)), "all axes must be >= 1, got shape (1, 2, 0, 4)"),
+        (KeyTensor, [[[[1.0, np.nan]]]], "tensor contains NaN or Inf"),
+        (KeyTensor, [[[[-np.inf]]]], "tensor contains NaN or Inf"),
+        (ScoreTensor, np.ones((2, 3)), "expected 3 axes (batch, heads, seq), got 2"),
+        (ScoreTensor, np.ones((1, 2, 3, 4)), "expected 3 axes (batch, heads, seq), got 4"),
+        (ScoreTensor, np.ones((0, 2, 3)), "all axes must be >= 1, got shape (0, 2, 3)"),
+        (ScoreTensor, [[[0.0, -np.inf]]], "score tensor contains NaN or Inf"),
+        (lambda data: ScoreTensor(data).to_key_tensor(), [[[1.0, -3e38, 4e38]]],
+         "scores exceed the float32 range of a KVT1 tensor (|score| <= 3.402823e+38)"),
+    ], ids=["int", "float", "two-axes", "empty-axis", "empty-head",
+            "key-three-axes", "key-five-axes", "key-empty-axis", "key-nan", "key-inf",
+            "score-two-axes", "score-four-axes", "score-empty-axis", "score-inf",
+            "score-beyond-float32"])
+    def test_rejections_name_the_fault(self, make, data, message):
+        with pytest.raises(ValidationError) as err:
+            make(data)
+        assert str(err.value) == message
 
     def test_never_aliases_or_freezes_the_callers_array(self):
         given = np.array([[[True, False, True], [False, True, False]]])
