@@ -16,7 +16,6 @@ from .attention import (
 )
 from .errors import EstimationError, ValidationError
 from .eviction import (
-    BudgetPlan,
     CompressedCache,
     RetentionSet,
     allocate_head_budgets,

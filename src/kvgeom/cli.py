@@ -43,7 +43,7 @@ from .experiments import (
     window_ablation,
 )
 from .manifold import estimate_dimensions
-from .report import Columns, Report, config_hash
+from .report import Columns, Report, config_hash, write_json
 from .scorers import METHOD_TABLE, METHODS, ScorerSpec, compute_scores
 from .synth import (
     SCENARIO_KINDS,
@@ -295,20 +295,16 @@ def _cmd_compress(opts) -> int:
     cache = [load_kvt(opts["keys"]), load_kvt(opts["values"])]
     spec = _scorer_spec(opts)
     scores = compute_scores(spec, cache[0], queries=_load_queries(opts, [spec.method]))
-    plan = allocate_head_budgets(scores, opts["rho"], opts["mode"])
-    retained = retention_from_scores(scores, plan)
+    budgets = allocate_head_budgets(scores, opts["rho"], opts["mode"])
+    retained = retention_from_scores(scores, budgets)
     # the pops hand compress_cache the only references to keys and values,
     # so it can free the keys before it allocates the values' output
     compressed = compress_cache(cache.pop(0), cache.pop(), retained)
     save_kvt(compressed.keys, opts["out_keys"])
     save_kvt(compressed.values, opts["out_values"])
-    with open(opts["out_mask"], "w", encoding="utf-8") as fh:
-        json.dump(compressed.mask_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(opts["out_mask"], compressed.mask_json_obj())
     if opts.get("out_retained"):
-        with open(opts["out_retained"], "w", encoding="utf-8") as fh:
-            json.dump(retained.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(opts["out_retained"], retained.to_json_obj())
     print(
         f"compress: {retained.seq_len} -> {compressed.keys.seq_len} tokens/head "
         f"(rho={opts['rho']}, mode={opts['mode']}, method={spec.label()})"

@@ -1,4 +1,5 @@
-"""Budget computation, top-k retention, cache assembly, per-head allocation."""
+"""Budget computation, top-k retention, cache assembly, and per-head
+allocation into a plain int64 (heads,) budget array."""
 
 from __future__ import annotations
 
@@ -82,10 +83,10 @@ class RetentionSet(_Frame):
 
 
 def retention_from_scores(scores: ScoreTensor, budgets) -> RetentionSet:
-    """Top-k retention per (batch, head); `budgets` is an int, a (batch, heads)
-    array, or a BudgetPlan (applied to every batch row)."""
-    per = budgets.per_head if isinstance(budgets, BudgetPlan) else budgets
-    per = np.broadcast_to(np.asarray(per, dtype=np.int64), (scores.batch, scores.heads))
+    """Top-k retention per (batch, head); `budgets` is an int or an array that
+    broadcasts to (batch, heads), such as the (heads,) array of
+    `allocate_head_budgets` (applied to every batch row)."""
+    per = np.broadcast_to(np.asarray(budgets, dtype=np.int64), (scores.batch, scores.heads))
     keep = np.zeros(scores.data.shape, dtype=bool)
     for b, h in np.ndindex(per.shape):
         keep[b, h, topk_select(scores.data[b, h], int(per[b, h]))] = True
@@ -143,18 +144,6 @@ def _gather(t: KeyTensor, keep: np.ndarray, counts: np.ndarray) -> KeyTensor:
     return KeyTensor(freeze(out))
 
 
-@dataclass(frozen=True)
-class BudgetPlan:
-    """Per-head retention budgets summing to an exact global budget."""
-
-    mode: str
-    global_ratio: float
-    per_head: np.ndarray  # int64 (heads,)
-
-    def total(self) -> int:
-        return int(self.per_head.sum())
-
-
 def _apportion(quotas: np.ndarray, total: int, upper: int) -> np.ndarray:
     """Largest-remainder apportionment with per-slot bounds [1, upper]."""
     k = quotas.size
@@ -185,8 +174,8 @@ def _apportion(quotas: np.ndarray, total: int, upper: int) -> np.ndarray:
     return alloc
 
 
-def allocate_head_budgets(scores: ScoreTensor, rho: float, mode: str) -> BudgetPlan:
-    """Distribute the global budget across heads.
+def allocate_head_budgets(scores: ScoreTensor, rho: float, mode: str) -> np.ndarray:
+    """Distribute the global budget across heads: int64 (heads,) budgets.
 
     uniform: every head gets budget(N, rho). proportional: heads receive
     budgets proportional to their total score mass (summed over batch and
@@ -200,8 +189,7 @@ def allocate_head_budgets(scores: ScoreTensor, rho: float, mode: str) -> BudgetP
     n = scores.seq_len
     heads = scores.heads
     if mode == "uniform":
-        per = np.full(heads, budget(n, rho), dtype=np.int64)
-        return BudgetPlan(mode=mode, global_ratio=rho, per_head=per)
+        return np.full(heads, budget(n, rho), dtype=np.int64)
     total = max(heads, min(heads * n, math.floor(heads * (1.0 - rho) * n + 1e-9)))
     mass = scores.data.sum(axis=(0, 2)).astype(np.float64)
     mass_sum = float(mass.sum())
@@ -209,5 +197,4 @@ def allocate_head_budgets(scores: ScoreTensor, rho: float, mode: str) -> BudgetP
         quotas = np.full(heads, total / heads, dtype=np.float64)
     else:
         quotas = mass / mass_sum * total
-    per = _apportion(quotas, total, n)
-    return BudgetPlan(mode=mode, global_ratio=rho, per_head=per)
+    return _apportion(quotas, total, n)

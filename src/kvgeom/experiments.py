@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import pearson, preservation_error, selection_overlap, spearman
+from .attention import pearson, selection_overlap, spearman
 from .errors import ValidationError
 from .eviction import budget, retention_from_scores
 from .report import Report, config_hash
@@ -36,7 +36,6 @@ class RetentionResult:
     retained_needles: int
     total_needles: int
     retention_rate: float
-    preservation_error: float | None
     seed: int | None
 
 
@@ -68,22 +67,16 @@ def retention_rate(retained, needles) -> float:
     return hits / total
 
 
-def _scenario_queries(scenario: Scenario, n_queries: int, mode: str) -> KeyTensor:
-    seed = int(scenario.params["seed"]) + _QUERY_SEED_OFFSET
-    return gen_queries(n_queries=n_queries, d=scenario.keys.head_dim, mode=mode,
-                       scenario=scenario, seed=seed)
-
-
 def _auto_queries(scenario: Scenario, spec: ScorerSpec) -> KeyTensor | None:
+    """The queries an obs_attention spec observes when none are given: one
+    window of needle-probing queries (random ones for a scenario without
+    needles), drawn from a seed derived from the scenario's; None for any
+    other method."""
     if spec.method != "obs_attention":
         return None
     mode = "needle_probing" if scenario.needles else "random"
-    queries = _scenario_queries(scenario, spec.obs_window, mode)
-    frame = scenario.keys.shape[:2]
-    if queries.shape[:2] == frame:
-        return queries
-    # the same drawn queries for every (batch, head) of a multi-head key tensor
-    return KeyTensor(np.broadcast_to(queries.data, frame + queries.shape[2:]))
+    seed = int(scenario.params["seed"]) + _QUERY_SEED_OFFSET
+    return gen_queries(scenario, spec.obs_window, mode, seed)
 
 
 def run_retention(
@@ -91,14 +84,8 @@ def run_retention(
     spec: ScorerSpec,
     rho: float,
     queries: KeyTensor | None = None,
-    values: KeyTensor | None = None,
 ) -> RetentionResult:
-    """Score -> budget -> top-k -> needle retention for one scenario.
-
-    With a value tensor supplied, the attention preservation error of the
-    eviction is computed as well (against `queries`, or auto-generated
-    needle-probing queries when none are given).
-    """
+    """Score -> budget -> top-k -> needle retention for one scenario."""
     if not scenario.needles:
         raise ValidationError("scenario has no needles to retain")
     if queries is None:
@@ -107,17 +94,12 @@ def run_retention(
     m = budget(scenario.seq_len, rho)
     retained = retention_from_scores(scores, m)
     hits, total = _count_needle_hits(retained, scenario.needles)
-    pres_err = None
-    if values is not None:
-        q = queries if queries is not None else _scenario_queries(scenario, 8, "needle_probing")
-        pres_err = preservation_error(q, scenario.keys, values, retained)
     return RetentionResult(
         method=spec.label(),
         rho=rho,
         retained_needles=hits,
         total_needles=total,
         retention_rate=hits / total,
-        preservation_error=pres_err,
         seed=scenario.params.get("seed"),
     )
 
@@ -129,10 +111,6 @@ def _map_jobs(jobs: int, fn, args_list):
         return list(pool.map(lambda args: fn(*args), args_list))
 
 
-def _mean(values) -> float:
-    return float(np.mean(values))
-
-
 def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> Report:
     """Run `job(point, seed)` for every grid point and seed and group the rows.
 
@@ -140,6 +118,8 @@ def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> R
     columns averaged over seeds and the `carried` columns of the first run.
     The report's columns are row, `column`, `carried`, seed, `means`.
     """
+    if not seeds:  # a grid point's mean row needs at least one run
+        raise ValidationError("seeds must list at least one seed")
     for i, point in enumerate(grid):  # a repeated point's groups would share rows
         if point in grid[:i]:
             raise ValidationError(f"{column} grid lists {point} twice")
@@ -150,7 +130,7 @@ def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> R
         out.extend(chunk)
         out.append({"row": "mean", column: point, "seed": "",
                     **{c: chunk[0][c] for c in carried},
-                    **{c: _mean([r[c] for r in chunk]) for c in means}})
+                    **{c: float(np.mean([r[c] for r in chunk])) for c in means}})
     return Report(name=name, columns=["row", column, *carried, "seed", *means], rows=out,
                   metadata={**params, "config_hash": config_hash(params)}, group_by=column)
 

@@ -20,7 +20,7 @@ clouds, not production indexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,15 +51,7 @@ class DimensionReport:
         return self.pca_d95 / self.ambient_dim
 
     def to_dict(self) -> dict:
-        return {
-            "pca_d95": self.pca_d95,
-            "twonn": self.twonn,
-            "mle": self.mle,
-            "n_points": self.n_points,
-            "ambient_dim": self.ambient_dim,
-            "discarded_pairs": self.discarded_pairs,
-            "pca_ratio": self.pca_ratio,
-        }
+        return {**asdict(self), "pca_ratio": self.pca_ratio}
 
 
 def _as_points(points) -> np.ndarray:

@@ -25,6 +25,13 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as indented, key-sorted JSON ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _jsonable(v):
     if isinstance(v, (np.integer,)):
         return int(v)

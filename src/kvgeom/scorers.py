@@ -18,7 +18,7 @@ import numpy as np
 
 from .attention import attention_weights
 from .errors import ValidationError
-from .tensor import ROW_CHUNK, KeyTensor, ScoreTensor, _each_slab, freeze
+from .tensor import ROW_CHUNK, KeyTensor, ScoreTensor, _check_frames, _each_slab, freeze
 
 # Guard for unit-normalizing degenerate (zero-norm) keys.
 NORM_EPS = 1e-12
@@ -285,6 +285,7 @@ def obs_attention_score(keys: KeyTensor, queries: KeyTensor, obs_window: int) ->
     _at_least_one("obs_window", obs_window)
     if queries is None:
         raise ValidationError("obs_attention requires a query tensor")
+    _check_frames(keys, q=queries)  # names the given queries' shape, not the tail's
     if obs_window > queries.seq_len:
         raise ValidationError(
             f"obs_window {obs_window} exceeds query count {queries.seq_len}"

@@ -17,6 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ValidationError, json_value, parse_file
+from .report import write_json
 from .tensor import ROW_CHUNK, KeyTensor, freeze
 
 SCENARIO_KINDS = ("subspace", "radial", "clusters", "collision")
@@ -106,9 +107,10 @@ def _needle_positions(rng: np.random.Generator, count: int, n: int) -> np.ndarra
     return rng.permutation(np.arange(1, n - 1))[:count]
 
 
-def _check_size(n: int, d: int) -> None:
+def _check_size(n: int, d: int, k: int = 0) -> None:
     """Refuse, before any allocation, an n x d scenario whose float64 keys
-    alone exceed the machine's physical memory (where the platform reports it)."""
+    alone, or whose (d, k) subspace basis, exceed the machine's physical
+    memory (where the platform reports it)."""
     import os
 
     try:
@@ -121,6 +123,13 @@ def _check_size(n: int, d: int) -> None:
             f"an n={n} x d={d} scenario needs {need / 2**30:.3g} GiB of float64 keys, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
+    # per basis entry: the float64 draw and Q factor, a Python float and list slot in params
+    need = 48 * d * k
+    if need > have:
+        raise ValidationError(
+            f"a d={d} x k={k} subspace basis needs {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _as_tensor(matrix: np.ndarray) -> KeyTensor:
@@ -131,6 +140,17 @@ def _as_tensor(matrix: np.ndarray) -> KeyTensor:
     with np.errstate(over="ignore"):
         np.copyto(out[0, 0], matrix, casting="same_kind")
     return KeyTensor(freeze(out))
+
+
+def _with_needles(commons: np.ndarray, positions, rows) -> np.ndarray:
+    """The (n, d) keys holding needle `rows` at `positions` and the `commons`,
+    in order, everywhere else."""
+    keys = np.empty((len(commons) + len(positions), commons.shape[1]))
+    mask = np.ones(len(keys), dtype=bool)
+    mask[positions] = False
+    keys[mask] = commons
+    keys[positions] = rows
+    return keys
 
 
 def _as_scenario(kind: str, keys: KeyTensor, needles, params: dict) -> Scenario:
@@ -171,7 +191,7 @@ def gen_subspace_scenario(
         raise ValidationError(f"need 0 <= n_out < n, got n_out={n_out}, n={n}")
     if epsilon <= 0 or sigma <= 0:
         raise ValidationError("sigma and epsilon must be positive")
-    _check_size(n, d)
+    _check_size(n, d, k)
     rng = _rng(seed)
     basis, _ = np.linalg.qr(rng.normal(size=(d, k)))
     center = center_scale * sigma * basis[:, 0]
@@ -187,24 +207,14 @@ def gen_subspace_scenario(
             applied_scale = limit / radius
             common = mean + (common - mean) * applied_scale
 
-    keys = np.empty((n, d))
-    needles = np.empty(0, dtype=np.int64)
-    if n_out > 0:
-        inplane = center + applied_scale * (
-            rng.normal(0.0, sigma, size=(n_out, k)) @ basis.T
-        )
-        offsets = np.empty((n_out, d))
-        for j in range(n_out):
-            u = rng.normal(size=d)
-            u -= basis @ (basis.T @ u)
-            offsets[j] = _unit(u)
-        needles = _needle_positions(rng, n_out, n)
-        mask = np.ones(n, dtype=bool)
-        mask[needles] = False
-        keys[mask] = common
-        keys[needles] = inplane + epsilon * offsets
-    else:
-        keys[:] = common
+    inplane = center + applied_scale * (rng.normal(0.0, sigma, size=(n_out, k)) @ basis.T)
+    offsets = np.empty((n_out, d))
+    for j in range(n_out):
+        u = rng.normal(size=d)
+        u -= basis @ (basis.T @ u)
+        offsets[j] = _unit(u)
+    needles = _needle_positions(rng, n_out, n)
+    keys = _with_needles(common, needles, inplane + epsilon * offsets)
 
     params = {
         "n": n,
@@ -244,11 +254,7 @@ def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) 
     axis[0] = 1.0
     jitter = _balanced_units(rng, n - 1, d, axis)
     pos = int(rng.integers(1, n - 1))
-    keys = np.empty((n, d))
-    mask = np.ones(n, dtype=bool)
-    mask[pos] = False
-    keys[mask] = axis + epsilon * jitter
-    keys[pos] = alpha * axis
+    keys = _with_needles(axis + epsilon * jitter, [pos], [alpha * axis])
     params = {"alpha": alpha, "epsilon": epsilon, "n": n, "d": d, "seed": seed}
     return _as_scenario("radial", _as_tensor(keys), [pos], params)
 
@@ -362,12 +368,7 @@ def gen_collision_scenario(
     jitter = _balanced_units(rng, n_common, d, direction)
     commons = (direction + epsilon * jitter) / np.sqrt(1.0 + epsilon**2)
     positions = _needle_positions(rng, len(mags), n)
-    keys = np.empty((n, d))
-    mask = np.ones(n, dtype=bool)
-    mask[positions] = False
-    keys[mask] = commons
-    for m, pos in zip(mags, positions):
-        keys[pos] = m * direction
+    keys = _with_needles(commons, positions, [m * direction for m in mags])
     params = {
         "magnitudes": mags,
         "epsilon": epsilon,
@@ -380,40 +381,30 @@ def gen_collision_scenario(
     return _as_scenario("collision", _as_tensor(keys), positions, params)
 
 
-def gen_queries(
-    n_queries: int,
-    d: int,
-    mode: str,
-    scenario: Scenario,
-    seed: int,
-    noise: float = 0.0,
-) -> KeyTensor:
-    """Query tensor for attention-based scoring against a scenario.
+def gen_queries(scenario: Scenario, n_queries: int, mode: str, seed: int) -> KeyTensor:
+    """Queries for attention-based scoring against a scenario, in the
+    scenario's (batch, heads) frame and at its head_dim.
 
     random: ambient Gaussian queries. needle_probing: queries cycle through
-    the scenario's needle keys plus Gaussian noise of scale `noise`, so
-    attention concentrates on the needles (a retrieval-style workload).
+    the needle keys of the scenario's first (batch, head), so attention
+    concentrates on the needles (a retrieval-style workload). One
+    (n_queries, head_dim) draw serves every (batch, head).
     """
     if n_queries < 1:
         raise ValidationError(f"n_queries must be >= 1, got {n_queries}")
     if mode not in QUERY_MODES:
         raise ValidationError(f"mode must be one of {QUERY_MODES}, got {mode!r}")
-    if d != scenario.keys.head_dim:
-        raise ValidationError(
-            f"query dim {d} does not match scenario dim {scenario.keys.head_dim}"
-        )
     rng = _rng(seed)
     if mode == "random":
-        q = rng.normal(size=(n_queries, d))
+        q = rng.normal(size=(n_queries, scenario.keys.head_dim))
     else:
         if not scenario.needles:
             raise ValidationError("needle_probing requires a scenario with needles")
-        base = scenario.keys.data[0, 0, list(scenario.needles)].astype(np.float64)
-        reps = np.resize(np.arange(len(scenario.needles)), n_queries)
-        q = base[reps]
-        if noise > 0.0:
-            q = q + noise * rng.normal(size=(n_queries, d))
-    return _as_tensor(q)
+        base = scenario.keys.data[0, 0, list(scenario.needles)]
+        q = base[np.resize(np.arange(len(scenario.needles)), n_queries)]
+    out = np.empty(scenario.keys.shape[:2] + q.shape, dtype=np.float32)
+    np.copyto(out, q, casting="same_kind")  # the same draw for every (batch, head)
+    return KeyTensor(freeze(out))
 
 
 _GENERATORS = {"subspace": gen_subspace_scenario, "radial": gen_radial_failure,
@@ -439,9 +430,7 @@ def regenerate(kind: str, params: dict) -> Scenario:
 
 
 def save_sidecar(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.sidecar_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scenario.sidecar_obj())
 
 
 def load_sidecar(path) -> Scenario:

@@ -361,7 +361,7 @@ class TestScoreAgreementOnScenarios:
             scenario = gen_subspace_scenario(
                 n=512, d=64, k=9, sigma=1.0, n_out=8, epsilon=10.0, seed=seed
             )
-            queries = gen_queries(64, 64, "random", scenario, seed=9000 + seed)
+            queries = gen_queries(scenario, 64, "random", seed=9000 + seed)
             man = manifold_score(scenario.keys).data.ravel()
             kd = keydiff_score(scenario.keys).data.ravel()
             obs = compute_scores(

@@ -412,6 +412,19 @@ class TestQueriesFlag:
         assert code == 3
         _assert_documented_exit(code, err)
 
+    def test_query_shape_error_names_the_file_shape(self, capsys, tmp_path):
+        # the message once named the sliced (1, 2, 4, 8) query tail
+        save_kvt(random_tensor(0, heads=4, seq=64, dim=8), tmp_path / "k.kvt")
+        save_kvt(random_tensor(1, heads=2, seq=20, dim=8), tmp_path / "q.kvt")
+        code, _, err = run_cli(
+            capsys, "score", "--input", str(tmp_path / "k.kvt"), "--method", "obs_attention",
+            "--obs-window", "4", "--queries", str(tmp_path / "q.kvt"),
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert json.loads(err)["message"] == (
+            "query shape (1, 2, 20, 8) incompatible with key shape (1, 4, 64, 8)")
+
     def test_separation_rejects_it(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "separation", "--method", "obs_attention",

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from kvgeom import (
-    BudgetPlan,
     KeyTensor,
     RetentionSet,
     ScoreTensor,
@@ -283,19 +282,20 @@ class TestAllocateHeadBudgets:
         return ScoreTensor(data)
 
     def test_uniform(self):
-        plan = allocate_head_budgets(self._scores([1, 2, 3, 4], 100), 0.2, "uniform")
-        assert plan.per_head.tolist() == [80, 80, 80, 80]
-        assert plan.total() == 4 * 80
+        budgets = allocate_head_budgets(self._scores([1, 2, 3, 4], 100), 0.2, "uniform")
+        assert budgets.dtype == np.int64
+        assert budgets.tolist() == [80, 80, 80, 80]
 
     def test_proportional_largest_remainder(self):
-        plan = allocate_head_budgets(self._scores([3, 1], 100), 0.5, "proportional")
-        assert plan.per_head.tolist() == [75, 25]
+        budgets = allocate_head_budgets(self._scores([3, 1], 100), 0.5, "proportional")
+        assert budgets.dtype == np.int64
+        assert budgets.tolist() == [75, 25]
 
     def test_proportional_equal_masses_matches_uniform(self):
         scores = self._scores([2, 2, 2, 2], 100)
         uni = allocate_head_budgets(scores, 0.2, "uniform")
         prop = allocate_head_budgets(scores, 0.2, "proportional")
-        assert prop.per_head.tolist() == uni.per_head.tolist()
+        assert prop.tolist() == uni.tolist()
 
     def test_total_exact_and_bounds(self):
         for seed in range(30):
@@ -304,14 +304,14 @@ class TestAllocateHeadBudgets:
             n = int(g.integers(2, 60))
             rho = float(g.uniform(0.0, 0.95))
             scores = ScoreTensor(np.abs(g.normal(size=(1, heads, n))))
-            plan = allocate_head_budgets(scores, rho, "proportional")
+            budgets = allocate_head_budgets(scores, rho, "proportional")
             expected_total = max(heads, min(heads * n, math.floor(heads * (1 - rho) * n + 1e-9)))
-            assert plan.total() == expected_total
-            assert (plan.per_head >= 1).all() and (plan.per_head <= n).all()
+            assert budgets.sum() == expected_total
+            assert (budgets >= 1).all() and (budgets <= n).all()
 
     def test_zero_mass_head_still_gets_one(self):
-        plan = allocate_head_budgets(self._scores([5, 0], 10), 0.5, "proportional")
-        assert plan.per_head.tolist() == [9, 1]
+        budgets = allocate_head_budgets(self._scores([5, 0], 10), 0.5, "proportional")
+        assert budgets.tolist() == [9, 1]
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
@@ -319,8 +319,7 @@ class TestAllocateHeadBudgets:
 
     def test_plan_drives_retention(self):
         scores = ScoreTensor(np.array([[[0.9, 0.5, 0.1, 0.7], [0.1, 0.2, 0.3, 0.4]]]))
-        plan = BudgetPlan(mode="uniform", global_ratio=0.5, per_head=np.array([2, 2]))
-        r = retention_from_scores(scores, plan)
+        r = retention_from_scores(scores, np.array([2, 2]))  # one budget per head
         assert np.array_equal(r.indices[0][0], [0, 3])
         assert np.array_equal(r.indices[0][1], [2, 3])
 

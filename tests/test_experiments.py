@@ -78,14 +78,6 @@ class TestRunRetention:
         a = run_retention(scenario, ScorerSpec("manifold"), rho=0.5)
         b = run_retention(scenario, ScorerSpec("manifold"), rho=0.5)
         assert a == b
-        assert a.preservation_error is None
-
-    def test_preservation_error_with_values(self):
-        scenario = gen_radial_failure(alpha=100.0, epsilon=0.1, n=64, d=8, seed=4)
-        values = scenario.keys
-        result = run_retention(scenario, ScorerSpec("manifold"), rho=0.5, values=values)
-        assert result.preservation_error is not None
-        assert 0.0 <= result.preservation_error < np.inf
 
 
 class TestSeparationTest:
@@ -125,6 +117,11 @@ class TestSeparationTest:
         parallel = separation_test(**kwargs, jobs=4)
         assert serial.rows == parallel.rows
 
+    def test_empty_seeds_rejected(self):
+        # once numpy's "Mean of empty slice" warning and a NaN mean row
+        with pytest.raises(ValidationError, match="at least one seed"):
+            separation_test(k=2, d=8, sigma=1.0, epsilon=1.0, n_grid=[32], n_out=2, seeds=[])
+
 
 class TestDilutionSweep:
     def test_schema_and_single_cluster_gap(self):
@@ -146,6 +143,11 @@ class TestDilutionSweep:
         b = dilution_sweep(k_grid=[2], n=512, d=32, rho=0.25, seeds=[0, 1])
         assert a.rows == b.rows
         assert a.to_csv_text() == b.to_csv_text()
+
+    def test_empty_seeds_rejected(self):
+        # once an IndexError from the first grid point's mean row
+        with pytest.raises(ValidationError, match="at least one seed"):
+            dilution_sweep(k_grid=[2], n=512, d=32, rho=0.25, seeds=[])
 
 
 class TestWindowAblation:
@@ -185,6 +187,11 @@ class TestWindowAblation:
     def test_w_grid_validation(self):
         with pytest.raises(ValidationError):
             window_ablation(w_grid=[0], n=64, d=8, k_clusters=2, rho=0.2, seeds=[0])
+
+    def test_empty_seeds_rejected(self):
+        # once numpy's "Mean of empty slice" warning and a NaN mean row
+        with pytest.raises(ValidationError, match="at least one seed"):
+            window_ablation(w_grid=[64], n=128, d=8, k_clusters=2, rho=0.2, seeds=[])
 
 
 class TestPairedTTest:

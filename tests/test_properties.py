@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvgeom import (
-    BudgetPlan,
     KeyTensor,
     Report,
     ScoreTensor,
@@ -407,13 +406,13 @@ def _list_preservation_error(q, k, v, indices):
 @st.composite
 def score_grids(draw):
     # tie-heavy (batch, heads, n) scores: every entry from a small pool that holds
-    # +-0.0, and mixed budgets per head (or one BudgetPlan row for every batch row)
+    # +-0.0, and mixed budgets per head (or one (heads,) row for every batch row)
     b, h, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 16))
     pool = [-0.0, 0.0] + draw(st.lists(TIE_HEAVY, min_size=1, max_size=4))
     g = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32))))
     scores = np.array(pool)[g.integers(0, len(pool), size=(b, h, n))]
     if draw(st.booleans()):
-        return scores, BudgetPlan("uniform", 0.0, g.integers(1, n + 1, size=h))
+        return scores, g.integers(1, n + 1, size=h)
     return scores, g.integers(1, n + 1, size=(b, h))
 
 
@@ -422,7 +421,7 @@ def score_grids(draw):
 def test_batched_retention_equals_list_oracles(grid, needles, seed):
     scores, budgets = grid
     r = retention_from_scores(ScoreTensor(scores), budgets)
-    per = np.broadcast_to(getattr(budgets, "per_head", budgets), scores.shape[:2])
+    per = np.broadcast_to(budgets, scores.shape[:2])
     indices = [[np.sort(np.argsort(-scores[b, h], kind="stable")[: per[b, h]])
                 for h in range(scores.shape[1])] for b in range(scores.shape[0])]
     for b, h in np.ndindex(per.shape):

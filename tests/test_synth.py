@@ -8,6 +8,7 @@ import pytest
 
 from kvgeom import (
     KeyTensor,
+    Scenario,
     ValidationError,
     attention,
     centroid,
@@ -325,7 +326,7 @@ class TestCollisionScenario:
 class TestQueries:
     def test_needle_probing_argmax(self):
         scenario = gen_radial_failure(alpha=100.0, epsilon=0.1, n=64, d=8, seed=0)
-        queries = gen_queries(4, 8, "needle_probing", scenario, seed=1, noise=0.0)
+        queries = gen_queries(scenario, 4, "needle_probing", seed=1)
         out = attention(queries, scenario.keys, scenario.keys)
         top = out.weights[0, 0].argmax(axis=1)
         assert (top == scenario.needles[0]).all()
@@ -334,7 +335,7 @@ class TestQueries:
         scenario = gen_subspace_scenario(n=128, d=32, k=4, sigma=0.01, n_out=4,
                                          epsilon=1.0, seed=0, strict_separation=True,
                                          center_scale=0.0)
-        queries = gen_queries(8, 32, "needle_probing", scenario, seed=2, noise=0.0)
+        queries = gen_queries(scenario, 8, "needle_probing", seed=2)
         out = attention(queries, scenario.keys, scenario.keys)
         top = out.weights[0, 0].argmax(axis=1)
         needles = np.resize(np.array(scenario.needles), 8)
@@ -342,18 +343,27 @@ class TestQueries:
 
     def test_deterministic(self):
         scenario = gen_radial_failure(alpha=10.0, epsilon=0.1, n=32, d=8, seed=0)
-        a = gen_queries(6, 8, "random", scenario, seed=5)
-        b = gen_queries(6, 8, "random", scenario, seed=5)
+        a = gen_queries(scenario, 6, "random", seed=5)
+        b = gen_queries(scenario, 6, "random", seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("mode", ["random", "needle_probing"])
+    def test_one_draw_for_every_head(self, mode):
+        scenario = gen_radial_failure(alpha=10.0, epsilon=0.1, n=32, d=8, seed=0)
+        wide = Scenario(kind="file", keys=KeyTensor(np.broadcast_to(
+            scenario.keys.data, (2, 3, 32, 8))), needles=scenario.needles, params={})
+        one = gen_queries(scenario, 6, mode, seed=5).data
+        queries = gen_queries(wide, 6, mode, seed=5)
+        assert queries.shape == (2, 3, 6, 8)
+        for b, h in np.ndindex(2, 3):
+            assert np.array_equal(queries.data[b, h], one[0, 0])
 
     def test_errors(self):
         scenario = gen_radial_failure(alpha=10.0, epsilon=0.1, n=32, d=8, seed=0)
         with pytest.raises(ValidationError):
-            gen_queries(0, 8, "random", scenario, seed=0)
+            gen_queries(scenario, 0, "random", seed=0)
         with pytest.raises(ValidationError):
-            gen_queries(4, 16, "random", scenario, seed=0)
-        with pytest.raises(ValidationError):
-            gen_queries(4, 8, "bogus", scenario, seed=0)
+            gen_queries(scenario, 4, "bogus", seed=0)
 
 
 class TestSidecar:
@@ -395,3 +405,16 @@ class TestSizeLimit:
         with pytest.raises(ValidationError, match="physical memory"):
             regenerate(kind, params)
         assert regenerate(kind, {**params, "n": 2**15}).seq_len == 2**15  # exactly 1 MiB fits
+
+    def test_subspace_basis_beyond_physical_memory_refused(self, monkeypatch, tmp_path):
+        # 1 MiB of memory again: 32 KiB of keys fit, but a 256 x 255 basis costs
+        # about 3 MiB once drawn, factored and echoed as Python floats
+        monkeypatch.setattr(os, "sysconf", lambda name: 2**10)
+        params = {**make_each_kind()[0].params, "n": 16, "d": 256, "k": 255, "n_out": 1}
+        with pytest.raises(ValidationError, match="basis .* physical memory"):
+            regenerate("subspace", params)
+        from kvgeom.cli import main
+
+        argv = ["separation", "--d", "256", "--k", "255", "--n-grid", "16", "--n-out", "1",
+                "--seeds", "0", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
