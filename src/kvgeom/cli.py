@@ -373,6 +373,7 @@ def _cmd_dim_estimate(opts) -> int:
     rows = []
     if opts.get("pooled"):
         points = keys.data.reshape(-1, keys.head_dim).astype(np.float64)
+        del keys  # only the float64 points are read from here on
         rep = estimate_dimensions(points, opts["threshold"], opts["k_neighbors"])
         rows.append({"row": "pooled", "batch": -1, "head": -1, **rep.to_dict()})
     else:

@@ -7,13 +7,12 @@ Three complementary estimators:
   * k-NN MLE: mean over points of [mean_j log(r_k / r_j)]^-1.
 
 Neighbor search is exact and brute-force in float64: O(n^2) time, done in
-row tiles of about 16 MiB of distances. Up to two worker threads (fewer when
-fewer CPUs are usable or the cloud has fewer tiles) each own one tile buffer
-and take every other tile, so memory is O(2*tile*n + n*k) rather than an
-n x n matrix. Every tile is the same row block whatever the worker count, so
-the table does not depend on the number of CPUs. Squared distances that
-rounding makes negative (near-duplicates) are clamped to 0 only in the k
-selected columns; clamping is monotone, so no bit changes.
+blocks of 128 rows by at most 4096 columns. Up to two worker threads each
+own one 4 MiB block buffer and take every other row tile, keeping each
+column block's k smallest, so scratch is O(2 * 4 MiB + n*k) whatever n is.
+The blocks do not depend on the worker count, so neither does the table.
+Squared distances that rounding makes negative (near-duplicates) are clamped
+to 0 only in the k selected columns; clamping is monotone, so no bit changes.
 Duplicates (r1 < 1e-12) are discarded and counted. This targets desk-scale
 clouds, not production indexes.
 """
@@ -28,11 +27,12 @@ from .errors import EstimationError, ValidationError
 from .tensor import _each_slab, all_finite
 
 DUPLICATE_EPS = 1e-12
-# Float64 distances held per row tile of the neighbor search (16 MiB):
-# 256 rows at n = 8192.
-TILE_ELEMENTS = 2**21
+# Rows and at most columns of one block of the neighbor search's float64
+# squared distances (4 MiB); the column block is capped at n.
+ROW_TILE = 128
+COL_BLOCK = 4096
 # Float64 elements of a worker's scratch strip of squared norms (256 KiB):
-# 4 rows at n = 8192.
+# 8 rows of a 4096-column block.
 STRIP_ELEMENTS = 2**15
 
 
@@ -80,48 +80,64 @@ def pca_effective_dim(points, threshold: float = 0.95) -> int:
     return int(np.searchsorted(cum, threshold - 1e-12) + 1)
 
 
-def _nn_tile(points, sq, s, k, g, strip, out) -> None:
-    """Sorted squared k-NN distances of rows s:e into out[s:e], in the first
-    e - s rows of the tile buffer g and a small strip for the squared norms."""
-    g = g[: len(points) - s]
-    e = s + g.shape[0]
-    np.matmul(points[s:e], points.T, out=g)
-    g *= 2.0
-    for c in range(0, e - s, strip.shape[0]):
-        ce = min(c + strip.shape[0], e - s)
-        t = strip[: ce - c]
-        np.add(sq[s + c : s + ce, None], sq[None, :], out=t)
-        np.subtract(t, g[c:ce], out=g[c:ce])
-    np.fill_diagonal(g[:, s:], np.inf)
-    g.partition(k - 1, axis=1)
+def _nn_tile(points, sq, s, k, g, strip, cand, out) -> None:
+    """Sorted squared k-NN distances of rows s:e into out[s:e], one column block
+    at a time in the block buffer g, with a small strip for the squared norms.
+    Each block's k smallest go to cand, unless g holds every column."""
+    n = len(points)
+    e = min(s + g.shape[0], n)
+    m = 0
+    for c in range(0, n, g.shape[1]):
+        ce = min(c + g.shape[1], n)
+        b = g[: e - s, : ce - c]
+        np.matmul(points[s:e], points[c:ce].T, out=b)
+        for r in range(0, e - s, strip.shape[0]):
+            re = min(r + strip.shape[0], e - s)
+            t = strip[: re - r, : ce - c]
+            b[r:re] *= 2.0
+            np.add(sq[s + r : s + re, None], sq[None, c:ce], out=t)
+            np.subtract(t, b[r:re], out=b[r:re])
+        lo = max(s, c)
+        np.fill_diagonal(b[lo - s :, lo - c :], np.inf)
+        if cand is not None:
+            kb = min(k, ce - c)
+            b.partition(kb - 1, axis=1)
+            cand[: e - s, m : m + kb] = b[:, :kb]
+            m += kb
+    pool = b if cand is None else cand[: e - s, :m]
+    pool.partition(k - 1, axis=1)
     part = out[s:e]
-    np.maximum(g[:, :k], 0.0, out=part)
+    np.maximum(pool[:, :k], 0.0, out=part)
     part.sort(axis=1)
 
 
 def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) matrix of each point's k smallest neighbor distances, ascending.
 
-    Exact, one tile of rows at a time, on `tensor._each_slab`'s workers, each
-    owning one tile buffer and strip and taking every other tile; a cloud of
-    one tile runs inline. Tiles start at 0, rows, 2*rows, ... whatever the
-    worker count, so the BLAS sees the same row blocks and the table has the
-    same bits on any number of CPUs. Each
-    tile's squared distances use the same operations in the same order as
-    the whole n x n matrix would, so the table equals the whole matrix's
-    wherever the BLAS gives a row block of `points @ points.T` the bits of
-    the same rows of the whole product. Negative squared distances are
+    Exact, one tile of ROW_TILE rows at a time, on `tensor._each_slab`'s
+    workers, each owning one (ROW_TILE, COL_BLOCK) block buffer, strip and
+    candidate buffer and taking every other tile; a cloud of one tile runs
+    inline. Tiles start at 0, ROW_TILE, 2*ROW_TILE, ... and column blocks at
+    0, COL_BLOCK, ... whatever the worker count, so the BLAS sees the same
+    blocks and the table has the same bits on any number of CPUs. Each
+    block's squared distances use the same operations in the same order as
+    the whole n x n matrix would, and the k smallest of a row are the k
+    smallest of its blocks' k smallest, so the table equals the whole
+    matrix's wherever the BLAS gives a block of `points @ points.T` the bits
+    of the same entries of the whole product. Negative squared distances are
     clamped to 0 after selection: clamping is monotone, so the k smallest
     clamped values are the clamped k smallest values.
     """
     n = points.shape[0]
-    rows = min(n, max(1, TILE_ELEMENTS // n))
+    rows, cols = min(n, ROW_TILE), min(n, COL_BLOCK)
+    blocks = -(-n // cols)
     starts = range(0, n, rows)
     sq = (points**2).sum(axis=1)
     out = np.empty((n, k))
-    strip_rows = min(rows, max(1, STRIP_ELEMENTS // n))
+    strip_rows = min(rows, max(1, STRIP_ELEMENTS // cols))
     _each_slab((len(starts),), lambda i, buffers: _nn_tile(points, sq, starts[i], k, *buffers, out),
-               lambda: (np.empty((rows, n)), np.empty((strip_rows, n))))
+               lambda: (np.empty((rows, cols)), np.empty((strip_rows, cols)),
+                        np.empty((rows, min(n, blocks * k))) if blocks > 1 else None))
     return np.sqrt(out, out=out)
 
 

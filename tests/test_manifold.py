@@ -1,4 +1,4 @@
-import math
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -32,15 +32,19 @@ def whole_matrix_nn_dists(points, k):
 
 
 def fresh_temporary_nn_dists(points, k):
-    """Reference row-tile loop: fresh temporaries for every tile, and the clamp
-    to 0 over the whole tile before selection."""
+    """Reference block loop: the same BLAS calls as the kernel, with fresh
+    temporaries for every (row tile, column block), a tile's blocks joined
+    into whole rows, and the clamp to 0 over the whole tile before selection."""
     n = points.shape[0]
-    rows = max(1, manifold.TILE_ELEMENTS // n)
+    rows, cols = min(n, manifold.ROW_TILE), min(n, manifold.COL_BLOCK)
     sq = (points**2).sum(axis=1)
     out = np.empty((n, k))
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        d2 = sq[s:e, None] + sq[None, :] - 2.0 * (points[s:e] @ points.T)
+        d2 = np.concatenate([
+            sq[s:e, None] + sq[None, c : c + cols] - 2.0 * (points[s:e] @ points[c : c + cols].T)
+            for c in range(0, n, cols)
+        ], axis=1)
         np.maximum(d2, 0.0, out=d2)
         np.fill_diagonal(d2[:, s:], np.inf)
         d2.partition(k - 1, axis=1)
@@ -50,20 +54,46 @@ def fresh_temporary_nn_dists(points, k):
     return np.sqrt(out, out=out)
 
 
-def _tile_rows(n):
-    return max(1, manifold.TILE_ELEMENTS // n)
+# A small block geometry, patched in so that every block boundary fits a
+# cheap whole-matrix reference. As in the production one, a column block is
+# a whole number of row tiles.
+SMALL_BLOCKS = {"ROW_TILE": 8, "COL_BLOCK": 64}
 
 
-# Cloud sizes at the row-tile boundaries: the largest n that one tile holds,
-# the first n that needs a second tile, several tiles whose last one is
-# ragged, and the first n whose last tile has a single row.
-ONE_TILE = math.isqrt(manifold.TILE_ELEMENTS)
-TILE_BOUNDARY_SIZES = (
-    ONE_TILE,
-    ONE_TILE + 1,
-    2500,
-    next(n for n in range(ONE_TILE + 1, 8 * ONE_TILE) if n % _tile_rows(n) == 1),
-)
+def small_blocks():
+    return mock.patch.multiple(manifold, **SMALL_BLOCKS)
+
+
+def boundary_sizes(rows, cols):
+    """Cloud sizes at the block boundaries of a rows x cols geometry."""
+    return (
+        rows,  # the largest n that one row tile holds
+        rows + 1,  # the first n that needs a second row tile
+        cols,  # the largest n that one column block holds
+        cols + 1,  # a one-column second block and a single-row last tile
+        2 * cols + cols // 2 + 3,  # a ragged third block and a ragged last tile
+        # a single-row last tile beside a ragged last block
+        next(n for n in range(2 * cols + 2, 4 * cols) if n % rows == 1 and n % cols > 1),
+    )
+
+
+TILE_BOUNDARY_SIZES = boundary_sizes(SMALL_BLOCKS["ROW_TILE"], SMALL_BLOCKS["COL_BLOCK"])
+# Clouds at the production constants: one column block of several row tiles,
+# the last one ragged, with n a multiple of 8 or not.
+PRODUCTION_SIZES = (1448, 1449, 2500, 3547)
+
+
+def blocks_for(n):
+    """The small geometry for a boundary size, the production one otherwise."""
+    return small_blocks() if n in TILE_BOUNDARY_SIZES else contextlib.nullcontext()
+
+
+def scratch_bound(n, k):
+    """Bytes of the search's scratch: two workers' block buffers, strips and
+    candidate buffers, the squared norms and the (n, k) table."""
+    rows, cols = manifold.ROW_TILE, min(n, manifold.COL_BLOCK)
+    blocks = -(-n // cols)
+    return 2 * (rows * cols + manifold.STRIP_ELEMENTS + rows * blocks * k) * 8 + n * (k + 1) * 8
 
 
 def planted_uniform(k, n, d, seed, low=0.0, high=1.0):
@@ -235,11 +265,17 @@ def dyadic_clouds(draw):
 
 class TestTiledNeighborSearch:
     def test_boundary_sizes_cover_the_tile_cases(self):
-        one, two, ragged, single_row_tail = TILE_BOUNDARY_SIZES
-        assert _tile_rows(one) == one
-        assert _tile_rows(two) < two < 2 * _tile_rows(two)
-        assert ragged // _tile_rows(ragged) >= 2 and ragged % _tile_rows(ragged) > 0
-        assert single_row_tail % _tile_rows(single_row_tail) == 1
+        assert manifold.COL_BLOCK % manifold.ROW_TILE == 0
+        with small_blocks():
+            rows, cols = manifold.ROW_TILE, manifold.COL_BLOCK
+            assert TILE_BOUNDARY_SIZES == boundary_sizes(rows, cols)
+            one, two, one_block, two_blocks, ragged, single_row_tail = TILE_BOUNDARY_SIZES
+            assert one == rows and rows < two < 2 * rows
+            assert one_block == cols and cols < two_blocks < 2 * cols
+            assert ragged // cols == 2 and ragged % cols > 1 and ragged % rows > 1
+            assert single_row_tail > 2 * cols and single_row_tail % cols > 1
+            for n in (two_blocks, single_row_tail):
+                assert n % rows == 1
 
     @staticmethod
     def _report(points, k):
@@ -253,11 +289,12 @@ class TestTiledNeighborSearch:
     def test_equals_whole_matrix_exactly(self, cloud):
         points, k = cloud
         whole = whole_matrix_nn_dists(points, k)  # computed once per example
-        tiled = manifold._sorted_nn_dists(points, k)
-        assert np.array_equal(tiled, whole)
-        report = self._report(points, k)
-        with mock.patch.object(manifold, "_sorted_nn_dists", lambda *_: whole):
-            assert report == self._report(points, k)
+        with small_blocks():
+            tiled = manifold._sorted_nn_dists(points, k)
+            assert np.array_equal(tiled, whole)
+            report = self._report(points, k)
+            with mock.patch.object(manifold, "_sorted_nn_dists", lambda *_: whole):
+                assert report == self._report(points, k)
 
     def test_duplicates_are_discarded_alike(self):
         g = np.random.default_rng(5)
@@ -265,7 +302,8 @@ class TestTiledNeighborSearch:
             points = g.integers(-1000, 1001, size=(n, 3)).astype(np.float64)
             q = n // 4
             points[:q] = points[q : 2 * q]
-            report = estimate_dimensions(points, k_neighbors=4)
+            with small_blocks():
+                report = estimate_dimensions(points, k_neighbors=4)
             assert report.discarded_pairs >= 2 * q
             with mock.patch.object(manifold, "_sorted_nn_dists", whole_matrix_nn_dists):
                 assert estimate_dimensions(points, k_neighbors=4) == report
@@ -277,69 +315,90 @@ class TestTiledNeighborSearch:
         st.integers(0, 2**32 - 1),
     )
     def test_within_blas_rounding_of_whole_matrix(self, n, d, seed):
-        # A BLAS may sum a row tile's dot products in another order than the
-        # same rows of the whole product (OpenBLAS does in the last n mod 8
+        # A BLAS may sum a block's dot products in another order than the
+        # same entries of the whole product (OpenBLAS does in the last n mod 8
         # columns). With M = max|x|^2, each dot product then moves by at most
         # d*eps*M, the squared distance by 2*d*eps*M plus 4*eps*M from its
         # final rounding, and sqrt and the squaring below add 12*eps*M.
         # Sorting is 1-Lipschitz, so the sorted tables agree to that bound.
         points = np.random.default_rng(seed).normal(size=(n, d)) * 3.0
-        tiled = manifold._sorted_nn_dists(points, 2)
+        with small_blocks():
+            tiled = manifold._sorted_nn_dists(points, 2)
         whole = whole_matrix_nn_dists(points, 2)
         tol = (2 * d + 16) * np.finfo(np.float64).eps * (points**2).sum(axis=1).max()
         assert np.abs(tiled**2 - whole**2).max() <= tol
 
-    @pytest.mark.parametrize("n", TILE_BOUNDARY_SIZES)
-    def test_equals_fresh_temporary_tiles_exactly(self, n):
-        # The reference makes the same BLAS calls row for row, so the tables
-        # are equal for every n. Near-duplicate rows round some squared
-        # distances below 0, which the kernel clamps only after selection.
+    @staticmethod
+    def _near_duplicates(n):
+        """Normal points whose first n // 5 rows (at least one) lie within 1e-9
+        of the last ones, each redrawn until rounding makes its squared
+        distance negative."""
         g = np.random.default_rng(n)
         points = g.normal(size=(n, 5)) * 3.0
-        q = n // 5
-        points[:q] = points[n - q :] + g.normal(size=(q, 5)) * 1e-9
-        a, b = points[:q], points[n - q :]
-        assert ((a**2).sum(axis=1) + (b**2).sum(axis=1) - 2.0 * (a * b).sum(axis=1) < 0.0).any()
-        # the k smallest sorted values are the first k columns of the whole sorted row
-        full = fresh_temporary_nn_dists(points, n - 1)
-        for k in (2, 10, n - 1):
-            assert np.array_equal(manifold._sorted_nn_dists(points, k), full[:, :k])
+        q = max(n // 5, 1)
+        twins = points[n - q :]
+        todo = np.arange(q)
+        while todo.size:
+            a, b = twins[todo] + g.normal(size=(todo.size, 5)) * 1e-9, twins[todo]
+            points[todo] = a
+            todo = todo[(a**2).sum(axis=1) + (b**2).sum(axis=1) - 2.0 * (a * b).sum(axis=1) >= 0.0]
+        return points
+
+    @pytest.mark.parametrize("n", TILE_BOUNDARY_SIZES + PRODUCTION_SIZES)
+    def test_equals_fresh_temporary_tiles_exactly(self, n):
+        # The reference makes the same BLAS calls block for block, so the
+        # tables are equal for every n. Near-duplicate rows round some squared
+        # distances below 0, which the kernel clamps only after selection.
+        points = self._near_duplicates(n)
+        with blocks_for(n):
+            # the k smallest sorted values are the first k columns of the whole sorted row
+            full = fresh_temporary_nn_dists(points, n - 1)
+            for k in sorted({2, min(10, n - 1), n - 1}):
+                assert np.array_equal(manifold._sorted_nn_dists(points, k), full[:, :k])
+
+    def test_two_production_column_blocks_equal_fresh_temporary_blocks(self):
+        n = manifold.COL_BLOCK + 1  # a one-column second block, a single-row last tile
+        points = self._near_duplicates(n)
+        table = self._table_on(2, points, 3)
+        assert np.array_equal(table, fresh_temporary_nn_dists(points, 3))
+        assert np.array_equal(self._table_on(1, points, 3), table)
 
     @staticmethod
     def _table_on(cpus, points, k):
         with mock.patch.object(tensor, "_usable_cpus", return_value=cpus):
             return manifold._sorted_nn_dists(points, k)
 
-    @pytest.mark.parametrize("n", TILE_BOUNDARY_SIZES)
+    @pytest.mark.parametrize("n", TILE_BOUNDARY_SIZES + PRODUCTION_SIZES)
     def test_table_does_not_depend_on_the_worker_count(self, n):
-        # normal coordinates, so the BLAS rounds: only equal row blocks give equal bits
+        # normal coordinates, so the BLAS rounds: only equal blocks give equal bits
         points = np.random.default_rng(n).normal(size=(n, 5)) * 3.0
-        one = self._table_on(1, points, 3)
-        assert np.array_equal(self._table_on(2, points, 3), one)
+        with blocks_for(n):
+            one = self._table_on(1, points, 3)
+            assert np.array_equal(self._table_on(2, points, 3), one)
 
     @settings(max_examples=12, deadline=None)
     @given(dyadic_clouds())
     def test_dyadic_table_does_not_depend_on_the_worker_count(self, cloud):
         points, k = cloud
-        assert np.array_equal(self._table_on(2, points, k), self._table_on(1, points, k))
+        with small_blocks():
+            assert np.array_equal(self._table_on(2, points, k), self._table_on(1, points, k))
 
     def test_one_tile_starts_no_thread(self):
-        points = np.random.default_rng(0).normal(size=(ONE_TILE, 4))
+        points = np.random.default_rng(0).normal(size=(manifold.ROW_TILE, 4))
         no_pool = mock.Mock(side_effect=AssertionError("a one-tile search started a thread"))
         with mock.patch.object(tensor, "ThreadPoolExecutor", no_pool):
             self._table_on(8, points, 2)
 
     def test_never_more_than_two_workers(self):
-        ragged = TILE_BOUNDARY_SIZES[2]  # three tiles
-        points = np.random.default_rng(0).normal(size=(ragged, 2))
+        points = np.random.default_rng(0).normal(size=(2 * manifold.ROW_TILE + 1, 2))
         with mock.patch.object(
             tensor, "ThreadPoolExecutor", wraps=tensor.ThreadPoolExecutor
         ) as pool:
-            self._table_on(64, points, 2)
+            self._table_on(64, points, 2)  # three tiles
         pool.assert_called_once_with(max_workers=2)
 
     def test_worker_errors_propagate(self):
-        points = np.random.default_rng(0).normal(size=(ONE_TILE + 1, 2))
+        points = np.random.default_rng(0).normal(size=(manifold.ROW_TILE + 1, 2))
 
         def fail_on_second_tile(points, sq, s, *args):
             if s > 0:
@@ -349,17 +408,28 @@ class TestTiledNeighborSearch:
             with pytest.raises(FloatingPointError, match="tile failed"):
                 self._table_on(2, points, 2)
 
-    def test_search_holds_two_tile_buffers(self):
-        n, k = 8192, 10
-        points = np.random.default_rng(0).normal(size=(n, 8))
+    @staticmethod
+    def _search_peak(n, d, k):
+        points = np.random.default_rng(0).normal(size=(n, d))
         tracemalloc.start()
         try:
             manifold._sorted_nn_dists(points, k)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tile = _tile_rows(n) * n * 8
-        assert peak <= 2 * tile + n * k * 8 + 2**20
+
+    # Slack for the thread pool and numpy's small allocations.
+    SLACK = 2**17
+
+    def test_search_holds_two_tile_buffers(self):
+        n, k = 8192, 10
+        assert self._search_peak(n, 8, k) <= scratch_bound(n, k) + self.SLACK
+
+    @pytest.mark.parametrize("n", [4096, 12288])
+    def test_scratch_does_not_grow_with_n(self, n):
+        # two workers' (ROW_TILE, COL_BLOCK) blocks whatever n is; only the
+        # candidate buffers and the table grow, by k floats a block or a row
+        assert self._search_peak(n, 2, 2) <= scratch_bound(n, 2) + self.SLACK
 
     def test_memory_is_bounded_by_tiles(self):
         # The n x n float64 matrix alone would be 512 MiB.
