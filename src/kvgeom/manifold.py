@@ -83,7 +83,7 @@ def pca_effective_dim(points, threshold: float = 0.95) -> int:
 def _nn_tile(points, sq, s, k, g, strip, cand, out) -> None:
     """Sorted squared k-NN distances of rows s:e into out[s:e], one column block
     at a time in the block buffer g, with a small strip for the squared norms.
-    Each block's k smallest go to cand, unless g holds every column."""
+    Each block's k smallest go to the candidate buffer cand."""
     n = len(points)
     e = min(s + g.shape[0], n)
     m = 0
@@ -99,12 +99,11 @@ def _nn_tile(points, sq, s, k, g, strip, cand, out) -> None:
             np.subtract(t, b[r:re], out=b[r:re])
         lo = max(s, c)
         np.fill_diagonal(b[lo - s :, lo - c :], np.inf)
-        if cand is not None:
-            kb = min(k, ce - c)
-            b.partition(kb - 1, axis=1)
-            cand[: e - s, m : m + kb] = b[:, :kb]
-            m += kb
-    pool = b if cand is None else cand[: e - s, :m]
+        kb = min(k, ce - c)
+        b.partition(kb - 1, axis=1)
+        cand[: e - s, m : m + kb] = b[:, :kb]
+        m += kb
+    pool = cand[: e - s, :m]
     pool.partition(k - 1, axis=1)
     part = out[s:e]
     np.maximum(pool[:, :k], 0.0, out=part)
@@ -137,7 +136,7 @@ def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     strip_rows = min(rows, max(1, STRIP_ELEMENTS // cols))
     _each_slab((len(starts),), lambda i, buffers: _nn_tile(points, sq, starts[i], k, *buffers, out),
                lambda: (np.empty((rows, cols)), np.empty((strip_rows, cols)),
-                        np.empty((rows, min(n, blocks * k))) if blocks > 1 else None))
+                        np.empty((rows, min(n, blocks * k)))))
     return np.sqrt(out, out=out)
 
 
