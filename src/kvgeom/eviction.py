@@ -144,6 +144,21 @@ def _gather(t: KeyTensor, keep: np.ndarray, counts: np.ndarray) -> KeyTensor:
     return KeyTensor(freeze(out))
 
 
+def _round_robin(alloc, order, room, left: int, step: int) -> None:
+    """Add `step` to heads of `order` in cyclic passes, one per head and pass,
+    skipping heads whose `room` is used up, until `left` steps are given. Whole
+    passes over the open heads go at once; the last, partial one goes to the
+    first `left` open heads."""
+    while left > 0:
+        heads = order[room[order] > 0]
+        q = min(left // heads.size, int(room[heads].min()))
+        if q == 0:
+            heads, q = heads[:left], 1
+        alloc[heads] += step * q
+        room[heads] -= q
+        left -= q * heads.size
+
+
 def _apportion(quotas: np.ndarray, total: int, upper: int) -> np.ndarray:
     """Largest-remainder apportionment with per-slot bounds [1, upper]."""
     k = quotas.size
@@ -156,21 +171,10 @@ def _apportion(quotas: np.ndarray, total: int, upper: int) -> np.ndarray:
     # ties toward the lower head index; cycles until the total is exact
     priority = np.lexsort((np.arange(k), -frac))
     diff = int(total - alloc.sum())
-    j = 0
-    while diff > 0:
-        h = priority[j % k]
-        if alloc[h] < upper:
-            alloc[h] += 1
-            diff -= 1
-        j += 1
-    j = 0
-    reverse = priority[::-1]
-    while diff < 0:
-        h = reverse[j % k]
-        if alloc[h] > 1:
-            alloc[h] -= 1
-            diff += 1
-        j += 1
+    if diff > 0:
+        _round_robin(alloc, priority, upper - alloc, diff, 1)
+    else:
+        _round_robin(alloc, priority[::-1], alloc - 1, -diff, -1)
     return alloc
 
 

@@ -31,9 +31,10 @@ DUPLICATE_EPS = 1e-12
 # squared distances (4 MiB); the column block is capped at n.
 ROW_TILE = 128
 COL_BLOCK = 4096
-# Float64 elements of a worker's scratch strip of squared norms (256 KiB):
-# 8 rows of a 4096-column block.
-STRIP_ELEMENTS = 2**15
+# Float64 elements of a worker's scratch strip of squared norms (192 KiB):
+# 6 rows of a 4096-column block. With the (ROW_TILE, d) doubled rows at
+# d = 64, a worker's small buffers stay at 256 KiB, as with an 8-row strip.
+STRIP_ELEMENTS = 3 * 2**13
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,9 @@ def pca_effective_dim(points, threshold: float = 0.95) -> int:
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
     centered = arr - arr.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    eig = svals**2
+    # eigenvalues of the d x d scatter matrix: the squared singular values of
+    # the centred cloud, to within (n + d) * eps of the largest
+    eig = np.maximum(np.linalg.eigvalsh(centered.T @ centered)[::-1], 0.0)
     total = float(eig.sum())
     if total == 0.0:
         return 1
@@ -80,21 +82,22 @@ def pca_effective_dim(points, threshold: float = 0.95) -> int:
     return int(np.searchsorted(cum, threshold - 1e-12) + 1)
 
 
-def _nn_tile(points, sq, s, k, g, strip, cand, out) -> None:
+def _nn_tile(points, sq, s, k, g, strip, cand, twice, out) -> None:
     """Sorted squared k-NN distances of rows s:e into out[s:e], one column block
     at a time in the block buffer g, with a small strip for the squared norms.
-    Each block's k smallest go to the candidate buffer cand."""
+    Each block's k smallest go to the candidate buffer cand. The rows are
+    doubled once into `twice`: 2x.y has the bits of 2(x.y), as doubling is exact."""
     n = len(points)
     e = min(s + g.shape[0], n)
+    rows = np.multiply(points[s:e], 2.0, out=twice[: e - s])
     m = 0
     for c in range(0, n, g.shape[1]):
         ce = min(c + g.shape[1], n)
         b = g[: e - s, : ce - c]
-        np.matmul(points[s:e], points[c:ce].T, out=b)
+        np.matmul(rows, points[c:ce].T, out=b)
         for r in range(0, e - s, strip.shape[0]):
             re = min(r + strip.shape[0], e - s)
             t = strip[: re - r, : ce - c]
-            b[r:re] *= 2.0
             np.add(sq[s + r : s + re, None], sq[None, c:ce], out=t)
             np.subtract(t, b[r:re], out=b[r:re])
         lo = max(s, c)
@@ -114,13 +117,14 @@ def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k) matrix of each point's k smallest neighbor distances, ascending.
 
     Exact, one tile of ROW_TILE rows at a time, on `tensor._each_slab`'s
-    workers, each owning one (ROW_TILE, COL_BLOCK) block buffer, strip and
-    candidate buffer and taking every other tile; a cloud of one tile runs
-    inline. Tiles start at 0, ROW_TILE, 2*ROW_TILE, ... and column blocks at
-    0, COL_BLOCK, ... whatever the worker count, so the BLAS sees the same
-    blocks and the table has the same bits on any number of CPUs. Each
-    block's squared distances use the same operations in the same order as
-    the whole n x n matrix would, and the k smallest of a row are the k
+    workers, each owning one (ROW_TILE, COL_BLOCK) block buffer, strip,
+    candidate buffer and (ROW_TILE, d) buffer of doubled rows and taking
+    every other tile; a cloud of one tile runs inline. Tiles start at 0,
+    ROW_TILE, 2*ROW_TILE, ... and column blocks at 0, COL_BLOCK, ...
+    whatever the worker count, so the BLAS sees the same blocks and the
+    table has the same bits on any number of CPUs. Each block's squared
+    distances round as the whole n x n matrix's would (doubling a factor of
+    each dot product is exact), and the k smallest of a row are the k
     smallest of its blocks' k smallest, so the table equals the whole
     matrix's wherever the BLAS gives a block of `points @ points.T` the bits
     of the same entries of the whole product. Negative squared distances are
@@ -136,7 +140,7 @@ def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     strip_rows = min(rows, max(1, STRIP_ELEMENTS // cols))
     _each_slab((len(starts),), lambda i, buffers: _nn_tile(points, sq, starts[i], k, *buffers, out),
                lambda: (np.empty((rows, cols)), np.empty((strip_rows, cols)),
-                        np.empty((rows, min(n, blocks * k)))))
+                        np.empty((rows, min(n, blocks * k))), np.empty((rows, points.shape[1]))))
     return np.sqrt(out, out=out)
 
 

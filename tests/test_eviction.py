@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kvgeom import (
     KeyTensor,
@@ -16,6 +17,7 @@ from kvgeom import (
     attention,
     budget,
     compress_cache,
+    eviction,
     retention_from_scores,
     topk_select,
 )
@@ -272,6 +274,53 @@ class TestCompressCache:
         assert out.values.shape == shape
         # 3.25 tensors in all; keys, values and both outputs at once would be 4
         assert peak - held <= 1.25 * 4 * math.prod(shape)
+
+
+def one_at_a_time_apportion(quotas, total, upper):
+    """Reference largest-remainder apportionment: one token per loop step."""
+    k = quotas.size
+    base = np.floor(quotas).astype(np.int64)
+    alloc = np.clip(base, 1, upper)
+    priority = np.lexsort((np.arange(k), -(quotas - base)))
+    diff = int(total - alloc.sum())
+    j = 0
+    while diff > 0:
+        h = priority[j % k]
+        if alloc[h] < upper:
+            alloc[h] += 1
+            diff -= 1
+        j += 1
+    j = 0
+    reverse = priority[::-1]
+    while diff < 0:
+        h = reverse[j % k]
+        if alloc[h] > 1:
+            alloc[h] -= 1
+            diff += 1
+        j += 1
+    return alloc
+
+
+@st.composite
+def apportion_cases(draw):
+    """Quotas in quarters, so remainders tie, reaching below 1 and above the
+    cap, and any feasible total: the difference to hand out can be negative."""
+    k = draw(st.integers(1, 12))
+    upper = draw(st.integers(1, 300))
+    quotas = draw(st.lists(st.integers(0, 4 * upper + 12), min_size=k, max_size=k))
+    return np.array(quotas) / 4.0, draw(st.integers(k, k * upper)), upper
+
+
+class TestApportion:
+    @given(apportion_cases())
+    @example((np.array([0.25, 0.25, 0.25, 3.5]), 4, 4))  # every head clipped up: claw back 2
+    @example((np.array([9.5, 9.5, 0.5, 0.5, 3.0]), 30, 8))  # two capped heads, tied remainders
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_token_at_a_time(self, case):
+        quotas, total, upper = case
+        alloc = eviction._apportion(quotas, total, upper)
+        assert alloc.tolist() == one_at_a_time_apportion(quotas, total, upper).tolist()
+        assert alloc.sum() == total and alloc.min() >= 1 and alloc.max() <= upper
 
 
 class TestAllocateHeadBudgets:

@@ -88,12 +88,53 @@ def blocks_for(n):
     return small_blocks() if n in TILE_BOUNDARY_SIZES else contextlib.nullcontext()
 
 
-def scratch_bound(n, k):
-    """Bytes of the search's scratch: two workers' block buffers, strips and
-    candidate buffers, the squared norms and the (n, k) table."""
+def scratch_bound(n, d, k):
+    """Bytes of the search's scratch: two workers' block buffers, strips,
+    candidate buffers and doubled rows, the squared norms and the (n, k) table."""
     rows, cols = manifold.ROW_TILE, min(n, manifold.COL_BLOCK)
     blocks = -(-n // cols)
-    return 2 * (rows * cols + manifold.STRIP_ELEMENTS + rows * blocks * k) * 8 + n * (k + 1) * 8
+    per_worker = rows * cols + manifold.STRIP_ELEMENTS + rows * blocks * k + rows * d
+    return 2 * per_worker * 8 + n * (k + 1) * 8
+
+
+def svd_spectrum(points):
+    """Reference PCA spectrum: the squared singular values of the whole
+    centred (n, d) cloud, padded with zeros to d values."""
+    n, d = points.shape
+    eig = np.zeros(d)
+    eig[: min(n, d)] = np.linalg.svd(points - points.mean(axis=0), compute_uv=False) ** 2
+    return eig
+
+
+def effective_dim(eig, threshold):
+    """The PCA effective dimension of a descending spectrum."""
+    total = float(eig.sum())
+    if total == 0.0:
+        return 1
+    return int(np.searchsorted(np.cumsum(eig) / total, threshold - 1e-12) + 1)
+
+
+@st.composite
+def graded_clouds(draw):
+    """Clouds of rank 1 to d with geometrically graded spectra, small noise,
+    power-of-two scales and large offsets, optionally with duplicated rows
+    and rounded through float32."""
+    d = draw(st.integers(1, 128))
+    n = draw(st.integers(2, 600))
+    rank = draw(st.integers(1, d))
+    decay = draw(st.floats(0.05, 1.0))
+    noise = draw(st.sampled_from([0.0, 1e-10, 1e-7, 1e-4]))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e6]))
+    g = rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(g.normal(size=(d, rank)))
+    points = (g.normal(size=(n, rank)) * decay ** np.arange(rank)) @ basis.T
+    points = (points + noise * g.normal(size=(n, d))) * scale + offset * g.normal(size=d)
+    if draw(st.booleans()):
+        points = np.repeat(points[: (n + 1) // 2], 2, axis=0)[:n]
+    if draw(st.booleans()):
+        points = points.astype(np.float32).astype(np.float64)
+    return points
 
 
 def planted_uniform(k, n, d, seed, low=0.0, high=1.0):
@@ -138,6 +179,20 @@ class TestPcaEffectiveDim:
 
     def test_identical_points(self):
         assert pca_effective_dim(np.zeros((5, 4))) == 1
+
+    @given(graded_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_svd_reference(self, points):
+        sv2 = svd_spectrum(points)
+        for threshold in (0.5, 0.95, 0.999999, 1.0):
+            assert pca_effective_dim(points, threshold) == effective_dim(sv2, threshold)
+        # the scatter matrix's eigenvalues are the squared singular values to
+        # within (n + d) eps of the largest; at d <= 128 and n <= 600 a
+        # cumulative fraction moves by well under the 1e-12 threshold slack
+        n, d = points.shape
+        centered = points - points.mean(axis=0)
+        eig = np.maximum(np.linalg.eigvalsh(centered.T @ centered)[::-1], 0.0)
+        assert np.abs(eig - sv2).max() <= (n + d) * np.finfo(float).eps * sv2[0]
 
     def test_errors(self):
         with pytest.raises(ValidationError):
@@ -423,13 +478,13 @@ class TestTiledNeighborSearch:
 
     def test_search_holds_two_tile_buffers(self):
         n, k = 8192, 10
-        assert self._search_peak(n, 8, k) <= scratch_bound(n, k) + self.SLACK
+        assert self._search_peak(n, 8, k) <= scratch_bound(n, 8, k) + self.SLACK
 
     @pytest.mark.parametrize("n", [4096, 12288])
     def test_scratch_does_not_grow_with_n(self, n):
         # two workers' (ROW_TILE, COL_BLOCK) blocks whatever n is; only the
         # candidate buffers and the table grow, by k floats a block or a row
-        assert self._search_peak(n, 2, 2) <= scratch_bound(n, 2) + self.SLACK
+        assert self._search_peak(n, 2, 2) <= scratch_bound(n, 2, 2) + self.SLACK
 
     def test_memory_is_bounded_by_tiles(self):
         # The n x n float64 matrix alone would be 512 MiB.
