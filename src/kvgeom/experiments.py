@@ -10,7 +10,6 @@ run in parallel and the row order never depends on the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .eviction import budget, retention_from_scores
 from .report import Report, config_hash
 from .scorers import ScorerSpec, compute_scores
 from .synth import Scenario, gen_cluster_mixture, gen_queries, gen_radial_failure, gen_subspace_scenario
-from .tensor import KeyTensor
+from .tensor import KeyTensor, _each_slab
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -105,10 +104,11 @@ def run_retention(
 
 
 def _map_jobs(jobs: int, fn, args_list):
-    if jobs <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda args: fn(*args), args_list))
+    """[fn(*args) for args in args_list], on up to `jobs` workers of `_each_slab`."""
+    rows = [None] * len(args_list)
+    _each_slab((len(args_list),), lambda i, _: rows.__setitem__(i, fn(*args_list[i])),
+               workers=jobs)
+    return rows
 
 
 def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> Report:

@@ -7,7 +7,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ CSV_BLOCK_ROWS = 2**14
 
 def config_hash(obj) -> str:
     """Short stable hash of a JSON-serializable config."""
+    import hashlib  # imported here: it loads OpenSSL, which only a report hash needs
     canon = json.dumps(obj, sort_keys=True, default=_jsonable)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 

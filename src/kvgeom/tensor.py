@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from threading import Thread, current_thread, main_thread
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,28 +61,38 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _each_slab(shape: tuple, work, scratch=lambda: None) -> None:
+def _each_slab(shape: tuple, work, scratch=lambda: None, workers: int = MAX_WORKERS) -> None:
     """Call `work(*index, buf)` for every index of `shape`, such as (batch, heads).
 
-    Index i (C order) goes to worker i mod w, w = min(MAX_WORKERS, usable CPUs,
+    Index i (C order) goes to worker i mod w, w = min(`workers`, usable CPUs,
     indices), which owns a `buf` from `scratch()` made on the calling thread
     (whose later allocations then reuse its memory). Runs inline when w is 1
-    or off the main thread (a sweep job, a slab of another loop). Each slab
-    runs the same operations on any worker, so results do not depend on w.
+    or off the main thread (a sweep job, a slab of another loop), else on w
+    threads while the caller waits; raises the lowest failing index's error.
+    Each slab runs the same operations on any worker, so results do not depend on w.
     """
     slabs = list(np.ndindex(shape))
-    on_main = threading.current_thread() is threading.main_thread()
-    workers = min(MAX_WORKERS, _usable_cpus(), len(slabs)) if on_main else 1
+    on_main = current_thread() is main_thread()
+    workers = max(1, min(workers, _usable_cpus(), len(slabs))) if on_main else 1
     bufs = [scratch() for _ in range(workers)]
+    failed = []  # (index, error) of each worker's first failure
 
     def run(w: int) -> None:
-        for index in slabs[w::workers]:
-            work(*index, bufs[w])
+        try:
+            for i in range(w, len(slabs), workers):
+                work(*slabs[i], bufs[w])
+        except BaseException as err:
+            failed.append((i, err))
 
-    if workers == 1:
-        return run(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers)))  # raises a worker's error
+    threads = [Thread(target=run, args=(w,)) for w in range(workers)] if workers > 1 else []
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if not threads:
+        run(0)
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
 
 
 _AXES = ("batch", "heads", "seq", "dim")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -607,6 +608,16 @@ class TestSweepCommands:
         assert run_cli(capsys, *args, "--jobs", "3", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_separation_jobs_flag_output_identical(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["separation", "--k", "2", "--d", "16", "--n-grid", "64,128", "--n-out", "2",
+                "--seeds", "0,1"]
+        assert run_cli(capsys, *args, "--out", str(a))[0] == 0
+        # three job threads on any host
+        with mock.patch.object(tensor, "_usable_cpus", return_value=8):
+            assert run_cli(capsys, *args, "--jobs", "3", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_ablation_default_grid(self, capsys, tmp_path):
         out = tmp_path / "a.json"
         code, stdout, _ = run_cli(
@@ -785,11 +796,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["exit_code"] == 2
 
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is most of the package's import time; only `ttest` imports it, when run
+    def test_cli_import_leaves_scipy_openssl_and_futures_unloaded(self):
+        # scipy is most of the package's import time and loads at the first `ttest`;
+        # hashlib loads OpenSSL's libcrypto, at the first report hash; slab and sweep
+        # workers are plain threads, so neither concurrent.futures nor its logging loads
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, kvgeom.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            [sys.executable, "-c", "import sys, kvgeom.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib', 'concurrent', 'logging')))"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,7 @@
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -20,7 +24,8 @@ from kvgeom import (
     window_ablation,
 )
 
-from kvgeom.experiments import _count_needle_hits
+from kvgeom import tensor
+from kvgeom.experiments import _count_needle_hits, _map_jobs
 
 from conftest import retention, rng
 
@@ -121,6 +126,38 @@ class TestSeparationTest:
         # once numpy's "Mean of empty slice" warning and a NaN mean row
         with pytest.raises(ValidationError, match="at least one seed"):
             separation_test(k=2, d=8, sigma=1.0, epsilon=1.0, n_grid=[32], n_out=2, seeds=[])
+
+
+class TestMapJobs:
+    """Sweep jobs on `jobs` workers of 8 usable CPUs, so each job count starts its threads."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_rows_in_input_order(self, jobs):
+        def job(i, square):
+            time.sleep(0.002 * (7 - i))  # later jobs finish sooner
+            return i, square
+
+        with mock.patch.object(tensor, "_usable_cpus", return_value=8):
+            rows = _map_jobs(jobs, job, [(i, i * i) for i in range(7)])
+        assert rows == [(i, i * i) for i in range(7)]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_lowest_failing_job_raises(self, jobs):
+        # job 2 fails first, job 1 on another worker after it: job 1's error wins
+        failed_two = threading.Event()
+
+        def job(i):
+            if i == 2:
+                failed_two.set()
+                raise ValueError("job 2")
+            if i == 1:
+                failed_two.wait(timeout=10)
+                raise KeyError("job 1")
+            return i
+
+        with mock.patch.object(tensor, "_usable_cpus", return_value=8):
+            with pytest.raises(KeyError, match="job 1"):
+                _map_jobs(jobs, job, [(i,) for i in range(4)])
 
 
 class TestDilutionSweep:

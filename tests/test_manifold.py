@@ -441,16 +441,14 @@ class TestTiledNeighborSearch:
     def test_one_tile_starts_no_thread(self):
         points = np.random.default_rng(0).normal(size=(manifold.ROW_TILE, 4))
         no_pool = mock.Mock(side_effect=AssertionError("a one-tile search started a thread"))
-        with mock.patch.object(tensor, "ThreadPoolExecutor", no_pool):
+        with mock.patch.object(tensor, "Thread", no_pool):
             self._table_on(8, points, 2)
 
     def test_never_more_than_two_workers(self):
         points = np.random.default_rng(0).normal(size=(2 * manifold.ROW_TILE + 1, 2))
-        with mock.patch.object(
-            tensor, "ThreadPoolExecutor", wraps=tensor.ThreadPoolExecutor
-        ) as pool:
+        with mock.patch.object(tensor, "Thread", wraps=tensor.Thread) as thread:
             self._table_on(64, points, 2)  # three tiles
-        pool.assert_called_once_with(max_workers=2)
+        assert thread.call_count == 2
 
     def test_worker_errors_propagate(self):
         points = np.random.default_rng(0).normal(size=(manifold.ROW_TILE + 1, 2))

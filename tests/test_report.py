@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from kvgeom import Report, config_hash
 
 
@@ -67,3 +69,9 @@ class TestConfigHash:
 
     def test_sensitive_to_values(self):
         assert config_hash({"x": 1}) != config_hash({"x": 2})
+
+    def test_pinned_hex(self):
+        # numpy scalars, arrays and tuples hash as their JSON values
+        obj = {"method": "manifold", "n_grid": [64, 128], "seeds": (0, 1),
+               "sigma": np.float64(0.5), "k": np.int64(3), "mask": np.array([1, 2])}
+        assert config_hash(obj) == "792d0d0800c0eb93"

@@ -228,11 +228,11 @@ def _slab_outputs(path, queries, values):
 
 
 def _on(cpus, fn, *args):
-    """fn(*args) with `cpus` usable CPUs, and whether it started a worker pool."""
+    """fn(*args) with `cpus` usable CPUs, and whether it started a worker thread."""
     with mock.patch.object(tensor, "_usable_cpus", return_value=cpus), mock.patch.object(
-        tensor, "ThreadPoolExecutor", wraps=tensor.ThreadPoolExecutor
-    ) as pool:
-        return fn(*args), pool.called
+        tensor, "Thread", wraps=tensor.Thread
+    ) as thread:
+        return fn(*args), thread.called
 
 
 class TestSlabWorkers:
@@ -267,7 +267,7 @@ class TestSlabWorkers:
     def test_one_slab_starts_no_thread(self, tmp_path):
         inputs = self._inputs(tmp_path, (1, 1, 700, 16))
         no_pool = mock.Mock(side_effect=AssertionError("a one-slab loop started a thread"))
-        with mock.patch.object(tensor, "ThreadPoolExecutor", no_pool):
+        with mock.patch.object(tensor, "Thread", no_pool):
             _on(8, _slab_outputs, *inputs)
 
     def test_off_the_main_thread_starts_no_thread(self, tmp_path):
@@ -279,6 +279,21 @@ class TestSlabWorkers:
         job.join(timeout=60)
         assert not job.is_alive()
         assert result == [(expected, False)]
+
+    def test_lowest_failing_index_raises(self):
+        # index 2 (worker 0) fails first; index 1 (worker 1) fails after it
+        failed_two = threading.Event()
+
+        def work(i, buf):
+            if i == 2:
+                failed_two.set()
+                raise ValueError("index 2")
+            if i == 1:
+                failed_two.wait(timeout=10)
+                raise KeyError("index 1")
+
+        with pytest.raises(KeyError, match="index 1"):
+            _on(2, tensor._each_slab, (4,), work)
 
     def test_short_read_in_the_last_slab(self, tmp_path):
         path, _, _ = self._inputs(tmp_path, RAGGED)
