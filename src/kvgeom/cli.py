@@ -59,11 +59,11 @@ from .tensor import KeyTensor, load_kvt, save_kvt
 class Option:
     """One command-line option, declared once.
 
-    Its config key is the flag without dashes (inner dashes as underscores);
-    `dest` names its value in RunConfig.options and defaults to that key.
-    `type` is str, int, float, bool (a store_true switch) or a list of one of
-    the first three, written on the command line comma-separated. `choices`
-    constrain the value, or each element of a list.
+    Its config key is the flag without dashes (inner dashes as underscores),
+    which also names its value in RunConfig.options. `type` is str, int,
+    float, bool (a store_true switch) or a list of one of the first three,
+    written on the command line comma-separated. `choices` constrain the
+    value, or each element of a list.
     """
 
     flag: str
@@ -72,11 +72,9 @@ class Option:
     help: str = ""
     required: bool = False
     choices: tuple = ()
-    dest: str = ""
 
     def __post_init__(self):
         self.key = self.flag[2:].replace("-", "_")
-        self.dest = self.dest or self.key
 
 
 class _Command(NamedTuple):
@@ -99,10 +97,8 @@ def _scorer_options(obs_window=None, queries=True) -> tuple:
     """The method parameter flags; `queries=False` leaves out --queries, for a
     command that generates its own queries."""
     options = (
-        Option("--window", int, dest="window_size",
-               help="window size in tokens (windowed method)"),
-        Option("--lambda", float, dest="hybrid_lambda",
-               help="mixing weight in [0, 1] (hybrid method)"),
+        Option("--window", int, help="window size in tokens (windowed method)"),
+        Option("--lambda", float, help="mixing weight in [0, 1] (hybrid method)"),
         Option("--obs-window", int, obs_window,
                help="number of trailing queries to observe (obs_attention method)"),
     )
@@ -221,12 +217,12 @@ def parse_config(argv) -> RunConfig:
     sources.append({k: v for k, v in vars(ns).items() if k in table and v is not None})
 
     # every value of every source is checked, also one a later source overrides
-    options = {o.dest: None for o in table.values()}
+    options = dict.fromkeys(table)
     for source in sources:
         for key, value in source.items():
-            options[table[key].dest] = _coerce(table[key], value)
+            options[key] = _coerce(table[key], value)
     for o in table.values():
-        if o.required and options[o.dest] is None:
+        if o.required and options[o.key] is None:
             raise ValidationError(f"{command}: {o.flag} is required")
     _validate(command, options)
     return RunConfig(command=command, options=options)
@@ -252,8 +248,8 @@ def _validate(command: str, opts: dict) -> None:
 
 
 def _scorer_spec(opts) -> ScorerSpec:
-    field = METHOD_TABLE[opts["method"]].field  # the one parameter the method takes
-    return ScorerSpec(opts["method"], **({field: opts[field]} if field else {}))
+    row = METHOD_TABLE[opts["method"]]  # a method's parameter, if any, is its row's option
+    return ScorerSpec(opts["method"], opts[row.key] if row.key else None)
 
 
 def _load_queries(opts, methods) -> KeyTensor | None:

@@ -30,12 +30,9 @@ _QUERY_SEED_OFFSET = 1_000_003
 
 @dataclass(frozen=True)
 class RetentionResult:
-    method: str
-    rho: float
     retained_needles: int
     total_needles: int
     retention_rate: float
-    seed: int | None
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ def _auto_queries(scenario: Scenario, spec: ScorerSpec) -> KeyTensor | None:
         return None
     mode = "needle_probing" if scenario.needles else "random"
     seed = int(scenario.params["seed"]) + _QUERY_SEED_OFFSET
-    return gen_queries(scenario, spec.obs_window, mode, seed)
+    return gen_queries(scenario, spec.param, mode, seed)
 
 
 def run_retention(
@@ -93,14 +90,7 @@ def run_retention(
     m = budget(scenario.seq_len, rho)
     retained = retention_from_scores(scores, m)
     hits, total = _count_needle_hits(retained, scenario.needles)
-    return RetentionResult(
-        method=spec.label(),
-        rho=rho,
-        retained_needles=hits,
-        total_needles=total,
-        retention_rate=hits / total,
-        seed=scenario.params.get("seed"),
-    )
+    return RetentionResult(hits, total, hits / total)
 
 
 def _map_jobs(jobs: int, fn, args_list):
@@ -219,7 +209,7 @@ def dilution_sweep(
             separation=separation, seed=seed,
         )
         g = run_retention(scenario, ScorerSpec("manifold"), rho).retention_rate
-        wr = run_retention(scenario, ScorerSpec("windowed", window_size=w), rho).retention_rate
+        wr = run_retention(scenario, ScorerSpec("windowed", w), rho).retention_rate
         kd = run_retention(scenario, ScorerSpec("keydiff"), rho).retention_rate
         return {"row": "run", "k_clusters": k_clusters, "window": w, "seed": seed,
                 "global_retention": g, "windowed_retention": wr,
@@ -259,7 +249,7 @@ def window_ablation(
             n=n, d=d, k_clusters=k_clusters, spread=spread,
             separation=separation, seed=seed,
         )
-        wr = run_retention(scenario, ScorerSpec("windowed", window_size=w), rho).retention_rate
+        wr = run_retention(scenario, ScorerSpec("windowed", w), rho).retention_rate
         g = run_retention(scenario, ScorerSpec("manifold"), rho).retention_rate
         return {"row": "run", "window": w, "seed": seed,
                 "windowed_retention": wr, "global_retention": g}

@@ -58,10 +58,10 @@ def _format_column(values, block: int):
     """Every cell of one column as CSV text, as `_format_cell` formats it, in
     lists of `block` cells.
 
-    A numpy column of integers or floats is formatted a block per pass (`str`
-    of each int, `repr` of each float); any other column cell by cell.
-    Integers spanning fewer values than the column has cells are formatted
-    once per value in that span, for the whole column, and looked up.
+    A numpy column of integers spanning fewer values than it has cells (such
+    as batch, head and token indices) is formatted once per value in that
+    span, for the whole column, and looked up; a numpy column of floats a
+    block per pass (`repr` of each float); any other column cell by cell.
     """
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     table = None
@@ -74,8 +74,6 @@ def _format_column(values, block: int):
         part = values[s : s + block]
         if table is not None:
             yield table[part - lo].tolist()
-        elif kind in ("i", "u"):
-            yield list(map(str, part.tolist()))
         elif kind == "f":
             # no float's repr holds ", "; no block is empty (split would give [""])
             yield repr(part.astype(np.float64, copy=False).tolist())[1:-1].split(", ")

@@ -25,10 +25,10 @@ NORM_EPS = 1e-12
 
 
 class Method(NamedTuple):
-    """One scoring method: `score(keys, parameter, queries)`, which reaches its
+    """One scoring method: `score(keys, param, queries)`, which reaches its
     scorer by module-global name at call time, and for a method with a parameter
-    the ScorerSpec field it requires, the field's config key (the flag without
-    dashes), its label format and its range check."""
+    the parameter's name in messages, its config key (the flag without dashes),
+    its label format and its range check."""
 
     score: Callable
     field: str | None = None
@@ -68,39 +68,32 @@ METHODS = tuple(METHOD_TABLE)
 
 @dataclass(frozen=True)
 class ScorerSpec:
-    """A scorer selection plus the one parameter its METHOD_TABLE row requires."""
+    """A scorer selection plus the one parameter its METHOD_TABLE row requires
+    (None for a method that takes none)."""
 
     method: str
-    window_size: int | None = None
-    hybrid_lambda: float | None = None
-    obs_window: int | None = None
+    param: int | float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for method, m in METHOD_TABLE.items():
-            value = getattr(self, m.field) if m.field else None
-            if method == self.method and m.field and value is None:
-                flag = "--" + m.key.replace("_", "-")
-                raise ValidationError(f"method {method!r} requires {m.field} ({flag})")
-            if method != self.method and value is not None:
-                raise ValidationError(f"{m.field} is only valid for method {method!r}")
         own = METHOD_TABLE[self.method]
-        if own.field:
-            own.check(own.field, self._parameter)
-
-    @property
-    def _parameter(self):
-        field = METHOD_TABLE[self.method].field
-        return getattr(self, field) if field else None
+        if own.field is None:
+            if self.param is not None:
+                raise ValidationError(f"method {self.method!r} takes no parameter")
+        elif self.param is None:
+            flag = "--" + own.key.replace("_", "-")
+            raise ValidationError(f"method {self.method!r} requires {own.field} ({flag})")
+        else:
+            own.check(own.field, self.param)
 
     def label(self) -> str:
         own = METHOD_TABLE[self.method]
-        return own.label.format(self._parameter) if own.field else self.method
+        return own.label.format(self.param) if own.field else self.method
 
     def to_dict(self) -> dict:
         own = METHOD_TABLE[self.method]
-        return {"method": self.method, **({own.key: self._parameter} if own.field else {})}
+        return {"method": self.method, **({own.key: self.param} if own.field else {})}
 
 
 def centroid(keys: np.ndarray) -> np.ndarray:
@@ -299,4 +292,4 @@ def compute_scores(
     spec: ScorerSpec, keys: KeyTensor, queries: KeyTensor | None = None
 ) -> ScoreTensor:
     """Dispatch a ScorerSpec against a key tensor."""
-    return METHOD_TABLE[spec.method].score(keys, spec._parameter, queries)
+    return METHOD_TABLE[spec.method].score(keys, spec.param, queries)

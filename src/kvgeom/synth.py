@@ -54,15 +54,13 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _orthonormal_pair(rng: np.random.Generator, d: int, axis: np.ndarray):
-    """Two orthonormal vectors spanning a random plane orthogonal to `axis`."""
-    p = rng.normal(size=d)
-    p -= axis * (axis @ p)
-    p = _unit(p)
-    q = rng.normal(size=d)
-    q -= axis * (axis @ q)
-    q -= p * (p @ q)
-    return p, _unit(q)
+def _orth_unit(rng: np.random.Generator, d: int, *against: np.ndarray) -> np.ndarray:
+    """A random unit vector orthogonal to each of the orthonormal `against`,
+    whose components are removed in the order given."""
+    v = rng.normal(size=d)
+    for u in against:
+        v -= u * (u @ v)
+    return _unit(v)
 
 
 def _balanced_units(rng: np.random.Generator, count: int, d: int, axis: np.ndarray) -> np.ndarray:
@@ -79,23 +77,19 @@ def _balanced_units(rng: np.random.Generator, count: int, d: int, axis: np.ndarr
     out = np.empty((count, d))
     pos = 0
     if count % 2 == 1 and count >= 3 and d >= 3:
-        p, q = _orthonormal_pair(rng, d, axis)
+        p = _orth_unit(rng, d, axis)
+        q = _orth_unit(rng, d, axis, p)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         for j in range(3):
             angle = phase + j * 2.0 * np.pi / 3.0
             out[pos] = np.cos(angle) * p + np.sin(angle) * q
             pos += 1
     while pos < count - 1:
-        v = rng.normal(size=d)
-        v -= axis * (axis @ v)
-        v = _unit(v)
-        out[pos] = v
-        out[pos + 1] = -v
+        out[pos] = _orth_unit(rng, d, axis)
+        out[pos + 1] = -out[pos]
         pos += 2
     if pos < count:  # single leftover (count == 1, or odd count with d == 2)
-        v = rng.normal(size=d)
-        v -= axis * (axis @ v)
-        out[pos] = _unit(v)
+        out[pos] = _orth_unit(rng, d, axis)
     return out
 
 

@@ -365,6 +365,6 @@ class TestScoreAgreementOnScenarios:
             man = manifold_score(scenario.keys).data.ravel()
             kd = keydiff_score(scenario.keys).data.ravel()
             obs = compute_scores(
-                ScorerSpec("obs_attention", obs_window=64), scenario.keys, queries=queries
+                ScorerSpec("obs_attention", 64), scenario.keys, queries=queries
             ).data.ravel()
             assert pearson(man, kd) > pearson(man, obs)

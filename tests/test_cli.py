@@ -75,7 +75,7 @@ class TestHelp:
             text = " ".join(subs[name].format_help().split())
             for o in cli._COMMANDS[name].options:
                 if o.default is not None:
-                    assert f"(default: {o.default})" in text, (name, o.dest)
+                    assert f"(default: {o.default})" in text, (name, o.key)
 
     def test_method_choices_are_the_scorer_table(self):
         rows = [(name, o) for name, c in cli._COMMANDS.items() for o in c.options
@@ -84,12 +84,25 @@ class TestHelp:
         assert all(o.choices == METHODS for _, o in rows)
 
     def test_scorer_options_set_the_spec_fields(self):
-        # each method's parameter flag fills its ScorerSpec field; its config key is the table's
-        for name in ("score", "compress", "separation", "compare"):
-            options = {o.dest: o for o in cli._COMMANDS[name].options}
-            for method in METHOD_TABLE.values():
-                if method.field:
-                    assert options[method.field].key == method.key, (name, method.field)
+        # each method's parameter flag lands under its table row's key, and from
+        # there in the spec's one parameter
+        required = {
+            "score": ["--input", "k.kvt", "--out", "s.csv"],
+            "compress": ["--keys", "k.kvt", "--values", "v.kvt", "--out-keys", "a",
+                         "--out-values", "b", "--out-mask", "c"],
+            "separation": ["--out", "o.csv"],
+            "compare": ["--input", "k.kvt", "--out", "o.csv"],
+        }
+        flags = (("windowed", "--window", "window", 5), ("hybrid", "--lambda", "lambda", 0.3),
+                 ("obs_attention", "--obs-window", "obs_window", 4))
+        for name, argv in required.items():
+            for method, flag, key, value in flags:
+                picked = ["--methods", f"manifold,{method}"] if name == "compare" else [
+                    "--method", method]
+                opts = parse_config([name, *argv, *picked, flag, str(value)]).options
+                assert opts[key] == value and METHOD_TABLE[method].key == key, (name, flag)
+                spec = cli._scorer_spec({**opts, "method": method})
+                assert spec == ScorerSpec(method, value), (name, flag)
 
     def test_all_commands_registered(self):
         parser = build_parser()
@@ -121,7 +134,7 @@ class TestParseConfig:
             "score", "--config", str(cfg), "--input", "k.kvt",
             "--method", "hybrid", "--out", "s.csv",
         ])
-        assert config.options["hybrid_lambda"] == 0.3
+        assert config.options["lambda"] == 0.3
 
     def test_kvm_seed_env_overrides_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("KVM_SEED", "7,8")
@@ -473,7 +486,7 @@ class TestScoreCommand:
         assert code == 0
         rows = read_report_csv(out)
         t = load_kvt(keys_file)
-        expected = compute_scores(ScorerSpec("windowed", window_size=4), t).data
+        expected = compute_scores(ScorerSpec("windowed", 4), t).data
         got = float(rows[5]["score"])
         assert got == pytest.approx(expected[0, 0, 5], rel=1e-12)
 

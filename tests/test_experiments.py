@@ -75,7 +75,7 @@ class TestRunRetention:
 
     def test_obs_attention_autoqueries(self):
         scenario = gen_radial_failure(alpha=100.0, epsilon=0.1, n=64, d=8, seed=2)
-        result = run_retention(scenario, ScorerSpec("obs_attention", obs_window=8), rho=0.5)
+        result = run_retention(scenario, ScorerSpec("obs_attention", 8), rho=0.5)
         assert result.retention_rate == 1.0  # probing queries concentrate on the needle
 
     def test_deterministic(self):

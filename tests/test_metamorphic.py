@@ -58,19 +58,18 @@ def keys(grid=False, min_d=1):
     return shapes.flatmap(lambda s: arrays(dtype, s, elements=elements)).map(offset)
 
 
-# method -> (ScorerSpec keyword, its values given the token count n)
+# method -> its ScorerSpec parameter's values given the token count n
 PARAMETERS = {
-    "windowed": ("window_size", lambda n: st.integers(1, n)),
-    "hybrid": ("hybrid_lambda", lambda n: st.floats(0.0, 1.0)),
-    "obs_attention": ("obs_window", lambda n: st.integers(1, 4)),
+    "windowed": lambda n: st.integers(1, n),
+    "hybrid": lambda n: st.floats(0.0, 1.0),
+    "obs_attention": lambda n: st.integers(1, 4),
 }
 
 
 def draw_spec(draw, method: str, n: int) -> ScorerSpec:
     if method not in PARAMETERS:
         return ScorerSpec(method)
-    field, values = PARAMETERS[method]
-    return ScorerSpec(method, **{field: draw.draw(values(n))})
+    return ScorerSpec(method, draw.draw(PARAMETERS[method](n)))
 
 
 def queries_for(data: np.ndarray) -> KeyTensor:
@@ -101,7 +100,7 @@ def test_permutation_equivariance(method, data, draw):
     spec = draw_spec(draw, method, t.seq_len)
     perm = np.array(draw.draw(st.permutations(range(t.seq_len))))
     if method == "windowed":  # only within each window: sort by (window, drawn order)
-        w = spec.window_size
+        w = spec.param
         perm = np.array(sorted(range(t.seq_len), key=lambda i: (i // w, perm[i])))
     queries = queries_for(data)
     base = compute_scores(spec, t, queries=queries).data

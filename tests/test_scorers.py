@@ -33,41 +33,41 @@ ALL_GLOBAL_SPECS = [
     ScorerSpec("knorm"),
     ScorerSpec("l1"),
     ScorerSpec("linf"),
-    ScorerSpec("hybrid", hybrid_lambda=0.5),
+    ScorerSpec("hybrid", 0.5),
     ScorerSpec("normalized"),
-    ScorerSpec("obs_attention", obs_window=4),
+    ScorerSpec("obs_attention", 4),
 ]
 
 
 class TestScorerSpec:
     def test_to_dict(self):
         assert ScorerSpec("manifold").to_dict() == {"method": "manifold"}
-        assert ScorerSpec("windowed", window_size=512).to_dict() == {
+        assert ScorerSpec("windowed", 512).to_dict() == {
             "method": "windowed", "window": 512,
         }
-        assert ScorerSpec("hybrid", hybrid_lambda=0.3).to_dict() == {
+        assert ScorerSpec("hybrid", 0.3).to_dict() == {
             "method": "hybrid", "lambda": 0.3,
         }
-        assert ScorerSpec("obs_attention", obs_window=4).to_dict() == {
+        assert ScorerSpec("obs_attention", 4).to_dict() == {
             "method": "obs_attention", "obs_window": 4,
         }
 
     def test_labels(self):
         assert ScorerSpec("manifold").label() == "manifold"
-        assert ScorerSpec("windowed", window_size=4).label() == "windowed[4]"
-        assert ScorerSpec("hybrid", hybrid_lambda=0.3).label() == "hybrid[0.3]"
+        assert ScorerSpec("windowed", 4).label() == "windowed[4]"
+        assert ScorerSpec("hybrid", 0.3).label() == "hybrid[0.3]"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"method": "nope"},
-            {"method": "windowed"},  # missing window_size
+            {"method": "windowed"},  # missing its window
             {"method": "hybrid"},
             {"method": "obs_attention"},
-            {"method": "manifold", "window_size": 3},
-            {"method": "windowed", "window_size": 0},
-            {"method": "hybrid", "hybrid_lambda": 1.5},
-            {"method": "keydiff", "obs_window": 2},
+            {"method": "manifold", "param": 3},
+            {"method": "windowed", "param": 0},
+            {"method": "hybrid", "param": 1.5},
+            {"method": "keydiff", "param": 2},
         ],
     )
     def test_invalid_specs(self, kwargs):
@@ -78,19 +78,19 @@ class TestScorerSpec:
 # every method with the label and to_dict() it has always had
 SPEC_STRINGS = [
     (ScorerSpec("manifold"), "manifold", {"method": "manifold"}),
-    (ScorerSpec("windowed", window_size=7), "windowed[7]", {"method": "windowed", "window": 7}),
-    (ScorerSpec("windowed", window_size=10**6), "windowed[1000000]",
+    (ScorerSpec("windowed", 7), "windowed[7]", {"method": "windowed", "window": 7}),
+    (ScorerSpec("windowed", 10**6), "windowed[1000000]",
      {"method": "windowed", "window": 10**6}),
     (ScorerSpec("keydiff"), "keydiff", {"method": "keydiff"}),
     (ScorerSpec("knorm"), "knorm", {"method": "knorm"}),
     (ScorerSpec("l1"), "l1", {"method": "l1"}),
     (ScorerSpec("linf"), "linf", {"method": "linf"}),
-    (ScorerSpec("hybrid", hybrid_lambda=0.3), "hybrid[0.3]", {"method": "hybrid", "lambda": 0.3}),
-    (ScorerSpec("hybrid", hybrid_lambda=1e-7), "hybrid[1e-07]",
+    (ScorerSpec("hybrid", 0.3), "hybrid[0.3]", {"method": "hybrid", "lambda": 0.3}),
+    (ScorerSpec("hybrid", 1e-7), "hybrid[1e-07]",
      {"method": "hybrid", "lambda": 1e-7}),
-    (ScorerSpec("hybrid", hybrid_lambda=1), "hybrid[1]", {"method": "hybrid", "lambda": 1}),
+    (ScorerSpec("hybrid", 1), "hybrid[1]", {"method": "hybrid", "lambda": 1}),
     (ScorerSpec("normalized"), "normalized", {"method": "normalized"}),
-    (ScorerSpec("obs_attention", obs_window=16), "obs_attention[16]",
+    (ScorerSpec("obs_attention", 16), "obs_attention[16]",
      {"method": "obs_attention", "obs_window": 16}),
 ]
 
@@ -109,11 +109,10 @@ class TestMethodTable:
         ({"method": "windowed"}, "method 'windowed' requires window_size (--window)"),
         ({"method": "hybrid"}, "method 'hybrid' requires hybrid_lambda (--lambda)"),
         ({"method": "obs_attention"}, "method 'obs_attention' requires obs_window (--obs-window)"),
-        ({"method": "hybrid", "window_size": 3, "hybrid_lambda": 0.5},
-         "window_size is only valid for method 'windowed'"),
-        ({"method": "windowed", "window_size": 0}, "window_size must be >= 1, got 0"),
-        ({"method": "hybrid", "hybrid_lambda": -0.5}, "hybrid_lambda must be in [0, 1], got -0.5"),
-        ({"method": "obs_attention", "obs_window": 0}, "obs_window must be >= 1, got 0"),
+        ({"method": "manifold", "param": 3}, "method 'manifold' takes no parameter"),
+        ({"method": "windowed", "param": 0}, "window_size must be >= 1, got 0"),
+        ({"method": "hybrid", "param": -0.5}, "hybrid_lambda must be in [0, 1], got -0.5"),
+        ({"method": "obs_attention", "param": 0}, "obs_window must be >= 1, got 0"),
     ])
     def test_spec_messages(self, kwargs, message):
         with pytest.raises(ValidationError) as raised:
@@ -133,9 +132,9 @@ class TestMethodTable:
 
     @pytest.mark.parametrize("name, spec", [
         ("manifold_score", ScorerSpec("manifold")),
-        ("windowed_manifold_score", ScorerSpec("windowed", window_size=3)),
+        ("windowed_manifold_score", ScorerSpec("windowed", 3)),
         ("keydiff_score", ScorerSpec("keydiff")),
-        ("obs_attention_score", ScorerSpec("obs_attention", obs_window=2)),
+        ("obs_attention_score", ScorerSpec("obs_attention", 2)),
     ])
     def test_compute_scores_calls_the_module_attribute(self, monkeypatch, name, spec):
         # bench/spans.py traces these scorers by replacing them on the module
@@ -458,7 +457,7 @@ class TestCrossCuttingInvariants:
         s_perm = windowed_manifold_score(KeyTensor(t.data[:, :, perm, :]), 4).data[0, 0]
         assert not np.allclose(s_perm, s_base[perm])
 
-    @pytest.mark.parametrize("spec", ALL_GLOBAL_SPECS + [ScorerSpec("windowed", window_size=3)],
+    @pytest.mark.parametrize("spec", ALL_GLOBAL_SPECS + [ScorerSpec("windowed", 3)],
                              ids=lambda s: s.label())
     def test_no_nan_on_degenerate_inputs(self, spec):
         dup = np.tile([1.0, 2.0, 3.0], (6, 1))
@@ -472,7 +471,7 @@ class TestCrossCuttingInvariants:
 
     def test_compute_scores_requires_queries_for_obs(self):
         with pytest.raises(ValidationError, match="quer"):
-            compute_scores(ScorerSpec("obs_attention", obs_window=2), random_tensor(0))
+            compute_scores(ScorerSpec("obs_attention", 2), random_tensor(0))
 
 
 class TestRowBlockMemory:
@@ -486,7 +485,7 @@ class TestRowBlockMemory:
     @pytest.mark.parametrize(
         "spec",
         [s for s in ALL_GLOBAL_SPECS if s.method != "obs_attention"]
-        + [ScorerSpec("windowed", window_size=1000)],
+        + [ScorerSpec("windowed", 1000)],
         ids=lambda s: s.label(),
     )
     def test_peak_is_at_most_one_mib(self, slab, spec):
@@ -504,8 +503,8 @@ class TestInputsUntouched:
 
     @pytest.mark.parametrize(
         "spec",
-        ALL_GLOBAL_SPECS + [ScorerSpec("windowed", window_size=3),
-                            ScorerSpec("windowed", window_size=64)],
+        ALL_GLOBAL_SPECS + [ScorerSpec("windowed", 3),
+                            ScorerSpec("windowed", 64)],
         ids=lambda s: s.label(),
     )
     def test_scorers_leave_caller_array_and_tensor_data_unchanged(self, spec):

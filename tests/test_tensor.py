@@ -1,6 +1,7 @@
 import os
 import struct
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -196,20 +197,31 @@ class TestAllFinite:
                     assert not all_finite(arr.reshape(1, -1).T)
                     arr[pos] = 0.0
 
+    def test_allocates_no_array_the_size_of_the_input(self):
+        arr = np.ones(2**24, dtype=np.float32)  # 64 MiB
+        arr[-1] = np.nan
+        tracemalloc.start()
+        try:
+            finite = all_finite(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not finite
+        assert peak < 2**20
+
 
 # ------------------------------------------------------------ slab workers
 
 # six (batch, head) slabs, three per worker; 700 rows is not a multiple of
 # the scorers' row blocks
 RAGGED = (2, 3, 700, 16)
-PARAMETERS = {"window_size": 64, "hybrid_lambda": 0.3, "obs_window": 4}
+PARAMETERS = {"windowed": 64, "hybrid": 0.3, "obs_attention": 4}
 # per-head budgets of different sizes, so the compressed cache is padded
 BUDGETS = np.array([[700, 350, 1], [2, 699, 100]])
 
 
 def _spec(method):
-    field = METHOD_TABLE[method].field
-    return ScorerSpec(method, **({field: PARAMETERS[field]} if field else {}))
+    return ScorerSpec(method, PARAMETERS.get(method))
 
 
 def _slab_outputs(path, queries, values):
