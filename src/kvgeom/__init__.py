@@ -10,7 +10,6 @@ from .attention import (
     attention,
     attention_weights,
     pearson,
-    preservation_error,
     selection_overlap,
     spearman,
 )
@@ -39,7 +38,6 @@ from .experiments import (
 from .manifold import (
     DimensionReport,
     estimate_dimensions,
-    mle_dim,
     pca_effective_dim,
     twonn_dim,
 )

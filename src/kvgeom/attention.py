@@ -1,4 +1,4 @@
-"""Reference attention, compression-quality metrics, and score agreement.
+"""Reference attention and score agreement.
 
 Attention here is prefill-style: no causal mask, every query attends to the
 full key set. The softmax is always computed with per-row max subtraction;
@@ -32,13 +32,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _slab_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # softmax(q k^T / sqrt(d)) for one (batch, head) pair of float64 matrices
-    logits = q @ k.T
-    logits /= np.sqrt(k.shape[1])
-    return softmax_rows(logits)
-
-
 def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) per (batch, head, query) row, float64.
 
@@ -49,7 +42,9 @@ def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
 
     def slab(bi, hi, k):
         np.copyto(k, keys.data[bi, hi])
-        out[bi, hi] = _slab_weights(queries.matrix(bi, hi), k)
+        logits = queries.matrix(bi, hi) @ k.T
+        logits /= np.sqrt(k.shape[1])
+        out[bi, hi] = softmax_rows(logits)
 
     _each_slab(keys.shape[:2], slab, lambda: np.empty(keys.shape[2:]))
     return out
@@ -63,32 +58,6 @@ def attention(q: KeyTensor, k: KeyTensor, v: KeyTensor) -> AttentionOutput:
     _each_slab(k.shape[:2], lambda bi, hi, _: np.matmul(
         weights[bi, hi], v.matrix(bi, hi), out=values[bi, hi]))
     return AttentionOutput(values=values, weights=weights)
-
-
-def preservation_error(q: KeyTensor, k: KeyTensor, v: KeyTensor, retained) -> float:
-    """Relative Frobenius error of attention outputs after eviction.
-
-    ||attention(Q,K,V) - attention(Q,K',V')||_F / ||attention(Q,K,V)||_F,
-    where K'/V' keep only the rows `retained` selects per (batch, head).
-    Zero when everything is retained. Holds one (batch, head) slab of each
-    tensor in float64 at a time per worker.
-    """
-    _check_frames(k, v, q, retained)
-    full = np.empty(q.shape[:3] + (v.head_dim,))
-    kept = np.empty_like(full)
-
-    def slab(bi, hi, _):
-        qs, ks, vs = q.matrix(bi, hi), k.matrix(bi, hi), v.matrix(bi, hi)
-        np.matmul(_slab_weights(qs, ks), vs, out=full[bi, hi])
-        keep = retained.keep[bi, hi]
-        np.matmul(_slab_weights(qs, ks[keep]), vs[keep], out=kept[bi, hi])
-
-    _each_slab(k.shape[:2], slab)
-    denom = np.linalg.norm(full)
-    num = np.linalg.norm(full - kept)
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return float(num / denom)
 
 
 def _as_score_vector(a, name: str) -> np.ndarray:

@@ -8,8 +8,8 @@ machine-readable JSON object to stderr. The KVM_SEED environment variable
 (comma-separated integers) overrides the built-in default seed list.
 
 Each option is declared once, as a row of its command in `_COMMANDS`; the
-parser, the help text, the defaults, the typing of config values and the
-required checks all come from those rows.
+parser, the help text, the defaults, the typing of config values, the
+required checks and the range checks all come from those rows.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class Option:
     which also names its value in RunConfig.options. `type` is str, int,
     float, bool (a store_true switch) or a list of one of the first three,
     written on the command line comma-separated. `choices` constrain the
-    value, or each element of a list.
+    value, or each element of a list. `check` takes the final value and
+    returns its error message, or a false value when the value is valid.
     """
 
     flag: str
@@ -72,6 +73,7 @@ class Option:
     help: str = ""
     required: bool = False
     choices: tuple = ()
+    check: Callable | None = None
 
     def __post_init__(self):
         self.key = self.flag[2:].replace("-", "_")
@@ -107,13 +109,20 @@ def _scorer_options(obs_window=None, queries=True) -> tuple:
     return options
 
 
+def _rho(default) -> Option:
+    return Option("--rho", float, default, help="compression ratio in [0, 1)",
+                  check=lambda v: not 0.0 <= v < 1.0 and f"--rho must be in [0, 1), got {v}")
+
+
 _OUT = Option("--out", required=True, help="output report path")
 _FORMAT = Option("--format", default="csv", choices=("csv", "json"),
                  help="report format: csv or json")
 # the options every sweep ends with
 _SWEEP = (
-    Option("--seeds", list[int], ",".join(map(str, DEFAULT_SEEDS)), help="seed list"),
-    Option("--jobs", int, 1, help="parallel sweep workers"),
+    Option("--seeds", list[int], ",".join(map(str, DEFAULT_SEEDS)), help="seed list",
+           check=lambda v: not v and "--seeds must list at least one seed"),
+    Option("--jobs", int, 1, help="parallel sweep workers",
+           check=lambda v: v < 1 and f"--jobs must be >= 1, got {v}"),
     _OUT,
     _FORMAT,
 )
@@ -224,20 +233,15 @@ def parse_config(argv) -> RunConfig:
     for o in table.values():
         if o.required and options[o.key] is None:
             raise ValidationError(f"{command}: {o.flag} is required")
+    for o in table.values():
+        if o.check and (message := o.check(options[o.key])):
+            raise ValidationError(message)
     _validate(command, options)
     return RunConfig(command=command, options=options)
 
 
 def _validate(command: str, opts: dict) -> None:
-    """Checks the option table does not state: value ranges and rules across options."""
-    if opts.get("rho") is not None and not 0.0 <= opts["rho"] < 1.0:
-        raise ValidationError(f"--rho must be in [0, 1), got {opts['rho']}")
-    if opts.get("seeds") == []:
-        raise ValidationError("--seeds must list at least one seed")
-    if opts.get("jobs", 1) < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {opts['jobs']}")
-    if command == "ablation" and opts["k_clusters"] < 1:
-        raise ValidationError(f"--k-clusters must be >= 1, got {opts['k_clusters']}")
+    """The rules across options, which no one option's row states."""
     if command == "gen" and opts["from_sidecar"] is None and opts["kind"] is None:
         raise ValidationError("gen: either --kind or --from-sidecar is required")
     if command == "compare":
@@ -263,6 +267,12 @@ def _load_queries(opts, methods) -> KeyTensor | None:
             raise ValidationError("--method obs_attention requires --queries")
         return None
     return load_kvt(path)
+
+
+def _write_report(opts, name: str, columns: list, rows, params: dict) -> None:
+    """Write `rows` to --out in --format, with `params` and their config hash as metadata."""
+    report = Report(name, columns, rows, {**params, "config_hash": config_hash(params)})
+    report.write(opts["out"], opts["format"])
 
 
 def _cmd_score(opts) -> int:
@@ -377,16 +387,11 @@ def _cmd_dim_estimate(opts) -> int:
             for h in range(keys.heads):
                 rep = estimate_dimensions(keys.matrix(b, h), opts["threshold"], opts["k_neighbors"])
                 rows.append({"row": "per_head", "batch": b, "head": h, **rep.to_dict()})
-    params = {"input": opts["input"], "threshold": opts["threshold"],
-              "k_neighbors": opts["k_neighbors"], "pooled": bool(opts.get("pooled"))}
-    report = Report(
-        name="dim-estimate",
-        columns=["row", "batch", "head", "pca_d95", "twonn", "mle", "pca_ratio",
-                 "n_points", "ambient_dim", "discarded_pairs"],
-        rows=rows,
-        metadata={**params, "config_hash": config_hash(params)},
-    )
-    report.write(opts["out"], opts["format"])
+    columns = ["row", "batch", "head", "pca_d95", "twonn", "mle", "pca_ratio",
+               "n_points", "ambient_dim", "discarded_pairs"]
+    _write_report(opts, "dim-estimate", columns, rows,
+                  {"input": opts["input"], "threshold": opts["threshold"],
+                   "k_neighbors": opts["k_neighbors"], "pooled": bool(opts.get("pooled"))})
     first = rows[0]
     print(
         f"dim-estimate: wrote {opts['out']} ({len(rows)} reports); "
@@ -412,13 +417,9 @@ def _cmd_collision_demo(opts) -> int:
             f"(budget={budget(scenario.seq_len, opts['rho'])})"
         )
     if opts.get("out"):
-        params = {k: opts[k] for k in ("magnitudes", "epsilon", "n", "d", "rho", "seed")}
-        Report(
-            name="collision-demo",
-            columns=["method", "retained_needles", "total_needles", "retention"],
-            rows=rows,
-            metadata={**params, "config_hash": config_hash(params)},
-        ).write(opts["out"], opts["format"])
+        _write_report(opts, "collision-demo",
+                      ["method", "retained_needles", "total_needles", "retention"], rows,
+                      {k: opts[k] for k in ("magnitudes", "epsilon", "n", "d", "rho", "seed")})
         print(f"collision-demo: wrote {opts['out']}")
     return 0
 
@@ -483,23 +484,15 @@ def _cmd_ttest(opts) -> int:
         f"df={result.df}{' (degenerate)' if result.degenerate else ''}"
     )
     if opts.get("out"):
-        params = {"a": opts["a"], "b": opts["b"], "col": opts["col"]}
-        Report(
-            name="ttest",
-            columns=["n", "mean_diff", "std_err", "t_stat", "p_value", "df", "degenerate"],
-            rows=[{
-                "n": result.n, "mean_diff": result.mean_diff, "std_err": result.std_err,
-                "t_stat": result.t_stat, "p_value": result.p_value, "df": result.df,
-                "degenerate": result.degenerate,
-            }],
-            metadata={**params, "config_hash": config_hash(params)},
-        ).write(opts["out"], opts["format"])
+        columns = ["n", "mean_diff", "std_err", "t_stat", "p_value", "df", "degenerate"]
+        _write_report(opts, "ttest", columns, [{c: getattr(result, c) for c in columns}],
+                      {"a": opts["a"], "b": opts["b"], "col": opts["col"]})
         print(f"ttest: wrote {opts['out']}")
     return 0
 
 
-# command -> (summary, options, handler); the parser, its help,
-# config coercion and the required checks are all derived from this table.
+# command -> (summary, options, handler); the parser, its help, config
+# coercion, the required checks and the range checks all derive from this table.
 _COMMANDS = {
     "score": _command(
         _cmd_score,
@@ -517,7 +510,7 @@ _COMMANDS = {
         Option("--values", required=True, help="KVT1 value tensor"),
         _method(default="manifold"),
         *_scorer_options(),
-        Option("--rho", float, 0.2, help="compression ratio in [0, 1)"),
+        _rho(0.2),
         Option("--mode", default="uniform", choices=BUDGET_MODES,
                help=f"budget allocation, one of: {', '.join(BUDGET_MODES)}"),
         Option("--out-keys", required=True, help="compressed keys (KVT1)"),
@@ -558,7 +551,7 @@ _COMMANDS = {
         Option("--k-grid", list[int], "1,4,16,32", help="cluster counts to sweep"),
         Option("--n", int, 16384, help="token count"),
         Option("--d", int, 128, help="head dimension"),
-        Option("--rho", float, 0.25, help="compression ratio in [0, 1)"),
+        _rho(0.25),
         Option("--window", int, help="window size in tokens; defaults to n / K per grid point"),
         Option("--spread", float, 1.0, help="cluster radius"),
         Option("--separation", float, 10.0, help="cluster center radius"),
@@ -571,8 +564,9 @@ _COMMANDS = {
                help="window sizes to sweep; defaults to C/2,C,2C,4C,n for C = n/K"),
         Option("--n", int, 8192, help="token count"),
         Option("--d", int, 128, help="head dimension"),
-        Option("--k-clusters", int, 16, help="cluster count"),
-        Option("--rho", float, 0.25, help="compression ratio in [0, 1)"),
+        Option("--k-clusters", int, 16, help="cluster count",
+               check=lambda v: v < 1 and f"--k-clusters must be >= 1, got {v}"),
+        _rho(0.25),
         Option("--spread", float, 1.0, help="cluster radius"),
         Option("--separation", float, 10.0, help="cluster center radius"),
         *_SWEEP,
@@ -595,7 +589,7 @@ _COMMANDS = {
         Option("--epsilon", float, 0.1, help="angular jitter of common tokens"),
         Option("--n", int, 256, help="token count"),
         Option("--d", int, 8, help="head dimension"),
-        Option("--rho", float, 0.5, help="compression ratio in [0, 1)"),
+        _rho(0.5),
         Option("--seed", int, 0, help="scenario seed"),
         Option("--out", help="optional report path"),
         _FORMAT,
@@ -624,7 +618,7 @@ _COMMANDS = {
         Option("--methods", list[str], "manifold,keydiff", choices=METHODS,
                help="comma-separated scoring methods"),
         *_scorer_options(obs_window=16),
-        Option("--rho", float, 0.2, help="compression ratio in [0, 1)"),
+        _rho(0.2),
         _OUT,
         _FORMAT,
     ),

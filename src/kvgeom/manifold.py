@@ -180,18 +180,6 @@ def _mle_from_dists(nn: np.ndarray) -> float:
     return float((1.0 / inv[good]).mean())
 
 
-def mle_dim(points, k_neighbors: int = 10) -> float:
-    """k-NN maximum-likelihood dimension estimate (plain mean over points)."""
-    arr = _as_points(points)
-    if k_neighbors < 2:
-        raise ValidationError(f"k_neighbors must be >= 2, got {k_neighbors}")
-    if arr.shape[0] <= k_neighbors:
-        raise ValidationError(
-            f"need more than k_neighbors={k_neighbors} points, got {arr.shape[0]}"
-        )
-    return _mle_from_dists(_sorted_nn_dists(arr, k_neighbors))
-
-
 def estimate_dimensions(
     points, threshold: float = 0.95, k_neighbors: int = 10
 ) -> DimensionReport:

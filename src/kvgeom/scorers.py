@@ -28,7 +28,7 @@ class Method(NamedTuple):
     """One scoring method: `score(keys, param, queries)`, which reaches its
     scorer by module-global name at call time, and for a method with a parameter
     the parameter's name in messages, its config key (the flag without dashes),
-    its label format and its range check."""
+    its label format and its type and range check."""
 
     score: Callable
     field: str | None = None
@@ -38,11 +38,15 @@ class Method(NamedTuple):
 
 
 def _at_least_one(field: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
     if value < 1:
         raise ValidationError(f"{field} must be >= 1, got {value}")
 
 
 def _unit_interval(field: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{field} must be a number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{field} must be in [0, 1], got {value}")
 

@@ -1,0 +1,226 @@
+"""Every CLI command at small sizes, as a manifest of exit codes and output hashes.
+
+    PYTHONPATH=src python tests/output_matrix.py > manifest.txt
+    python tests/output_matrix.py --compare BASE HEAD DECLARED
+
+The first form writes seeded inputs into a fresh temporary directory, runs
+each case of CASES there through `kvgeom.cli.main` (the `kvgeom` that
+PYTHONPATH selects), and prints a sorted manifest: per case, its exit code
+and the sha256 of its stdout, its stderr and each file it wrote. A case
+writes its files under a directory named after it, and every path is
+relative to the temporary directory, so two checkouts give the same
+manifest wherever they run. A case that raises past `main` (a traceback,
+exit 1 on the command line) is recorded with exit 1 and the exception's
+last line as its stderr.
+
+The second form compares two manifests. It prints each case whose lines
+differ and fails unless those cases are exactly the ones DECLARED lists, one
+per line (a commit's `Output-Change:` trailer values).
+
+The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+import numpy as np
+
+SIZES = ["--n", "64", "--d", "8"]
+GEN = ["gen", *SIZES, "--out-keys", "{out}/k.kvt", "--out-meta", "{out}/m.json"]
+SCORE = ["score", "--input", "in/k.kvt", "--out", "{out}/s.csv"]
+COMPRESS = ["compress", "--keys", "in/k.kvt", "--values", "in/v.kvt", "--out-keys", "{out}/k.kvt",
+            "--out-values", "{out}/v.kvt", "--out-mask", "{out}/m.json",
+            "--out-retained", "{out}/r.json"]
+DIM = ["dim-estimate", "--input", "in/cloud.kvt"]
+SEPARATION = ["separation", "--k", "2", "--d", "16", "--n-grid", "64,128", "--n-out", "2",
+              "--seeds", "0,1", "--out", "{out}/r.csv"]
+DILUTION = ["dilution", "--k-grid", "1,4", "--n", "256", "--d", "16", "--seeds", "0,1"]
+ABLATION = ["ablation", "--n", "256", "--d", "16", "--k-clusters", "4", "--seeds", "0,1"]
+COMPARE = ["compare", "--out", "{out}/c.csv"]
+TTEST = ["ttest", "--a", "in/a.csv", "--b", "in/b.csv"]
+# listed here, not read from kvgeom, so that both sides run the same cases
+COMMANDS = ("score", "compress", "gen", "dilution", "ablation", "dim-estimate",
+            "collision-demo", "separation", "compare", "ttest")
+METHOD_FLAGS = {"windowed": ["--window", "16"], "hybrid": ["--lambda", "0.3"],
+                "obs_attention": ["--obs-window", "4", "--queries", "in/q.kvt"]}
+METHODS = ("manifold", "windowed", "keydiff", "knorm", "l1", "linf", "hybrid", "normalized",
+           "obs_attention")
+
+# name -> argv; "{out}" is the case's own output directory. Cases run in this
+# order, so a later case may read an earlier one's files.
+CASES = {
+    **{f"gen-{kind}": [*GEN, "--kind", kind] for kind in ("radial", "clusters", "collision")},
+    "gen-subspace": [*GEN, "--kind", "subspace", "--k", "3"],
+    "gen-subspace-strict": [*GEN, "--kind", "subspace", "--k", "3", "--strict-separation"],
+    "gen-subspace-k-9": [*GEN, "--kind", "subspace"],
+    "gen-clusters-shuffle": [*GEN, "--kind", "clusters", "--shuffle"],
+    "gen-from-sidecar": [*GEN, "--from-sidecar", "gen-clusters/m.json"],
+    **{f"score-{m}": [*SCORE, "--method", m, *METHOD_FLAGS.get(m, [])] for m in METHODS},
+    "score-out-kvt": [*SCORE, "--method", "manifold", "--out-kvt", "{out}/s.kvt"],
+    "score-windowed-missing-window": [*SCORE, "--method", "windowed"],
+    "score-windowed-zero-window": [*SCORE, "--method", "windowed", "--window", "0"],
+    "score-hybrid-missing-lambda": [*SCORE, "--method", "hybrid"],
+    "score-hybrid-lambda-2": [*SCORE, "--method", "hybrid", "--lambda", "2"],
+    "score-obs-attention-missing-queries": [*SCORE, "--method", "obs_attention"],
+    "score-config-lambda": [*SCORE, "--method", "hybrid", "--config", "in/lambda.json"],
+    "score-config-bad-window": [*SCORE, "--method", "windowed", "--config", "in/window.json"],
+    "compress-manifold-proportional": [*COMPRESS, "--mode", "proportional", "--rho", "0.25"],
+    **{f"compress-{m}": [*COMPRESS, "--method", m, *METHOD_FLAGS[m]] for m in METHOD_FLAGS},
+    **{f"dim-estimate-{how}-{fmt}": [*DIM, *flags, "--format", fmt, "--out", f"{{out}}/d.{fmt}"]
+       for how, flags in (("heads", []), ("pooled", ["--pooled"])) for fmt in ("csv", "json")},
+    "collision-demo": ["collision-demo", "--n", "64"],
+    **{f"collision-demo-{fmt}": ["collision-demo", "--n", "64", "--format", fmt,
+                                 "--out", f"{{out}}/c.{fmt}"] for fmt in ("csv", "json")},
+    "separation-subspace": SEPARATION,
+    "separation-radial-windowed": [*SEPARATION, "--kind", "radial", "--method", "windowed",
+                                   "--window", "16"],
+    "separation-hybrid-json": [*SEPARATION, "--method", "hybrid", "--lambda", "0.3",
+                               "--format", "json"],
+    "separation-obs-attention-jobs-2": [*SEPARATION, "--method", "obs_attention",
+                                        "--obs-window", "4", "--jobs", "2"],
+    "separation-windowed-missing-window": [*SEPARATION, "--method", "windowed"],
+    "dilution-csv-jobs-2": [*DILUTION, "--jobs", "2", "--out", "{out}/d.csv"],
+    "dilution-json": [*DILUTION, "--format", "json", "--out", "{out}/d.json"],
+    "ablation-csv": [*ABLATION, "--out", "{out}/a.csv"],
+    "ablation-json": [*ABLATION, "--format", "json", "--out", "{out}/a.json"],
+    "compare-input-params": [*COMPARE, "--input", "in/k.kvt", "--methods",
+                             "windowed,hybrid,obs_attention", "--window", "16", "--lambda", "0.3",
+                             "--obs-window", "4"],
+    "compare-input-queries": [*COMPARE, "--input", "in/k.kvt", "--methods",
+                              "manifold,obs_attention", "--obs-window", "4",
+                              "--queries", "in/q.kvt"],
+    **{f"compare-sidecar-{fmt}": ["compare", "--sidecar", "gen-clusters/m.json", "--methods",
+                                  "manifold,keydiff,knorm", "--rho", "0.5", "--format", fmt,
+                                  "--out", f"{{out}}/c.{fmt}"] for fmt in ("csv", "json")},
+    "compare-obs-window-over-queries": [*COMPARE, "--input", "in/k.kvt", "--methods",
+                                        "manifold,obs_attention", "--queries", "in/q.kvt"],
+    "compare-missing-lambda": [*COMPARE, "--input", "in/k.kvt", "--methods", "manifold,hybrid"],
+    "compare-one-method": [*COMPARE, "--input", "in/k.kvt", "--methods", "manifold"],
+    "ttest": TTEST,
+    **{f"ttest-{fmt}": [*TTEST, "--format", fmt, "--out", f"{{out}}/t.{fmt}"]
+       for fmt in ("csv", "json")},
+    "help": ["--help"],
+    **{f"help-{c}": [c, "--help"] for c in COMMANDS},
+    "no-command": [],
+    "unknown-flag": ["score", "--bogus-flag", "x"],
+    # range rules: each option's own check, after the required checks
+    "compress-rho-1": [*COMPRESS, "--rho", "1"],
+    "collision-demo-config-rho-2": ["collision-demo", "--n", "64", "--config", "in/rho.json"],
+    "collision-demo-config-rho-overridden": ["collision-demo", "--n", "64", "--config",
+                                             "in/rho.json", "--rho", "0.5"],
+    "dilution-no-seeds": [*DILUTION, "--seeds", ",", "--out", "{out}/d.csv"],
+    "separation-jobs-0": [*SEPARATION, "--jobs", "0"],
+    "ablation-k-clusters-0": ["ablation", "--k-clusters", "0", "--out", "{out}/a.csv"],
+    "ablation-k-clusters-0-rho-2": ["ablation", "--k-clusters", "0", "--rho", "2",
+                                    "--out", "{out}/a.csv"],
+    "gen-no-kind": [*GEN],
+    # one malformed input per documented failure exit code
+    "exit-2-bad-magic": [*SCORE, "--method", "manifold", "--input", "in/magic.kvt"],
+    "exit-3-missing-input": [*SCORE, "--method", "manifold", "--input", "in/missing.kvt"],
+    "exit-4-identical-points": ["dim-estimate", "--input", "in/same.kvt", "--out", "{out}/d.csv"],
+}
+
+
+def _kvt(path: Path, data: np.ndarray, magic: bytes = b"KVT1") -> None:
+    header = magic + np.array(data.shape, "<u4").tobytes()
+    path.write_bytes(header + data.astype("<f4").tobytes())
+
+
+def _write_inputs(root: Path) -> None:
+    g = np.random.Generator(np.random.Philox(0))
+    inputs = root / "in"
+    inputs.mkdir()
+    _kvt(inputs / "k.kvt", 3.0 * g.standard_normal((1, 2, 48, 8)))
+    _kvt(inputs / "v.kvt", g.standard_normal((1, 2, 48, 8)))
+    _kvt(inputs / "q.kvt", g.standard_normal((1, 2, 6, 8)))
+    # 150 points span two neighbour-search row tiles, the second one ragged
+    basis = np.linalg.qr(g.standard_normal((16, 3)))[0]
+    cloud = g.standard_normal((1, 2, 150, 3)) @ basis.T + 1e-3 * g.standard_normal((1, 2, 150, 16))
+    _kvt(inputs / "cloud.kvt", cloud)
+    _kvt(inputs / "same.kvt", np.ones((1, 1, 16, 4)))
+    _kvt(inputs / "magic.kvt", np.zeros((1, 1, 2, 2)), magic=b"KVT0")
+    (inputs / "a.csv").write_text("score\n1.0\n2.5\n3.0\n4.25\n")
+    (inputs / "b.csv").write_text("score\n0.5\n2.0\n3.5\n3.0\n")
+    configs = {"lambda": {"lambda": 0.3}, "window": {"window": "x"}, "rho": {"rho": 2}}
+    for name, obj in configs.items():
+        (inputs / f"{name}.json").write_text(json.dumps(obj))
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_case(name: str, argv: list) -> list:
+    from kvgeom.cli import main
+
+    out_dir = Path(name)
+    out_dir.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([a.replace("{out}", name) for a in argv])
+        except SystemExit as exc:  # --help
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - a traceback is a result to record
+            code = 1
+            stderr.write(traceback.format_exception_only(type(exc), exc)[-1])
+    lines = [f"{name} exit {code}", f"{name} stdout {_sha(stdout.getvalue().encode())}",
+             f"{name} stderr {_sha(stderr.getvalue().encode())}"]
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        lines.append(f"{name} file {path.relative_to(out_dir)} {_sha(path.read_bytes())}")
+    return lines
+
+
+def manifest() -> list:
+    os.environ.pop("KVM_SEED", None)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _write_inputs(Path(tmp))
+            lines = [line for name, argv in CASES.items() for line in _run_case(name, argv)]
+        finally:
+            os.chdir(cwd)
+    return sorted(lines)
+
+
+def _by_case(path: str) -> dict:
+    cases = {}
+    for line in Path(path).read_text().splitlines():
+        cases.setdefault(line.split(" ", 1)[0], []).append(line)
+    return cases
+
+
+def compare(base_path: str, head_path: str, declared_path: str) -> int:
+    base, head = _by_case(base_path), _by_case(head_path)
+    changed = {name for name in base.keys() | head.keys() if base.get(name) != head.get(name)}
+    declared = set(Path(declared_path).read_text().split())
+    for name in sorted(changed):
+        note = "declared" if name in declared else "NOT DECLARED"
+        print(f"changed ({note}): {name}")
+        for line in sorted(set(base.get(name, [])) ^ set(head.get(name, []))):
+            print(f"  {'-' if line in base.get(name, []) else '+'} {line}")
+    for name in sorted(declared - changed):
+        print(f"declared but unchanged: {name}")
+    print(f"{len(head)} cases, {len(changed)} changed, {len(declared)} declared")
+    return 0 if changed == declared else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 5:
+        sys.exit(compare(*sys.argv[2:]))
+    if len(sys.argv) > 1:
+        sys.exit(f"usage: {sys.argv[0]} [--compare BASE HEAD DECLARED]")
+    import kvgeom
+
+    print(f"output matrix: kvgeom from {Path(kvgeom.__file__).parent}", file=sys.stderr)
+    print("\n".join(manifest()))

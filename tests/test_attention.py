@@ -20,7 +20,6 @@ from kvgeom import (
     manifold_score,
     keydiff_score,
     pearson,
-    preservation_error,
     selection_overlap,
     spearman,
 )
@@ -104,10 +103,12 @@ class TestAttention:
     def test_slabwise_weights_equal_batched(self, q_shape, k_shape):
         q = KeyTensor(rng(10).normal(size=q_shape) * 3.0)
         k = KeyTensor(rng(11).normal(size=k_shape) * 2.0)
+        v = KeyTensor(rng(14).normal(size=k_shape[:3] + (5,)))
         qd = q.data.astype(np.float64)
         kd = k.data.astype(np.float64)
         batched = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / np.sqrt(k.head_dim))
         assert np.array_equal(attention_weights(q, k), batched)
+        assert np.array_equal(attention(q, k, v).values, batched @ v.data.astype(np.float64))
 
     def test_peak_memory_below_whole_key_copy(self):
         q = random_tensor(12, heads=4, seq=8, dim=16)
@@ -146,15 +147,9 @@ FRAME = "retention set frame does not match tensors"
     (attention_weights, [(1, 1, 3, 4), (1, 2, 5, 4)], "query shape (1, 1, 3, 4)" + QUERY_VS),
     (attention, [(2, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4)], "query shape (2, 2, 3, 4)" + QUERY_VS),
     (attention, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 2, 6, 4)], KEY_VS + "(1, 2, 6, 4)"),
-    (preservation_error, [(1, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 7), (1, 2, 6)], FRAME),
-    (preservation_error, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 6)],
-     "query shape (1, 2, 3, 3)" + QUERY_VS),
-    (preservation_error, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 1, 5, 4), (1, 2, 6)],
-     KEY_VS + "(1, 1, 5, 4)"),
     (compress_cache, [(1, 2, 5, 4), (1, 2, 5, 7), (1, 1, 5)], FRAME),
     (compress_cache, [(1, 2, 5, 4), (2, 2, 5, 4), (1, 1, 5)], KEY_VS + "(2, 2, 5, 4)"),
 ], ids=["weights-dim", "weights-heads", "attention-batch", "attention-values-first",
-        "preservation-frame", "preservation-queries-first", "preservation-values-first",
         "compress-frame", "compress-values-first"])
 def test_frame_mismatch_messages(fn, shapes, message):
     args = [KeyTensor(rng(i).normal(size=s)) if len(s) == 4 else RetentionSet(np.ones(s, bool))
@@ -162,84 +157,6 @@ def test_frame_mismatch_messages(fn, shapes, message):
     with pytest.raises(ValidationError) as err:
         fn(*args)
     assert str(err.value) == message
-
-
-class TestPreservationError:
-    def test_retain_all_is_zero(self):
-        q = random_tensor(0, seq=4, dim=3)
-        k = random_tensor(1, seq=6, dim=3)
-        v = random_tensor(2, seq=6, dim=3)
-        assert preservation_error(q, k, v, retain(6, np.arange(6))) == 0.0
-
-    def test_dominant_token_kept(self):
-        # logit gap of 20 puts ~all mass on key 0; keeping only it is near-lossless
-        d = 1
-        gap = 20.0
-        k = kt([[gap], [0.0]])
-        v = kt([[1.0], [-1.0]])
-        q = kt([[1.0]])  # logits: (20, 0) / sqrt(1)
-        err = preservation_error(q, k, v, retain(2, [0]))
-        assert err < 0.01
-        w_dropped = math.exp(0.0) / (math.exp(gap) + math.exp(0.0))
-        full = (1 - w_dropped) * 1.0 + w_dropped * (-1.0)
-        assert err == pytest.approx(abs(1.0 - full) / abs(full), rel=1e-6)
-
-    def test_zero_weight_token_kept_oracle(self):
-        # keep only the negligible-weight token; error equals the oracle distance
-        k = kt([[20.0], [0.0]])
-        v = kt([[1.0], [-1.0]])
-        q = kt([[1.0]])
-        err = preservation_error(q, k, v, retain(2, [1]))
-        w1 = math.exp(20.0) / (math.exp(20.0) + 1.0)
-        full = w1 * 1.0 + (1 - w1) * (-1.0)
-        assert err == pytest.approx(abs(-1.0 - full) / abs(full), rel=1e-9)
-
-    def test_per_head_budgets_allowed(self):
-        q = random_tensor(3, heads=2, seq=3, dim=4)
-        k = random_tensor(4, heads=2, seq=8, dim=4)
-        v = random_tensor(5, heads=2, seq=8, dim=4)
-        err = preservation_error(q, k, v, retain(8, [0, 2, 4], [1, 3, 5, 7]))
-        assert err >= 0.0 and np.isfinite(err)
-
-    @pytest.mark.parametrize("batch, heads, queries, seq, dim, dv", [
-        (2, 3, 5, 40, 7, 3),
-        (1, 2, 16, 1001, 128, 64),
-    ])
-    def test_slabwise_equals_whole_tensor_expression(self, batch, heads, queries, seq, dim, dv):
-        q = KeyTensor(rng(40).normal(size=(batch, heads, queries, dim)) * 2.0)
-        k = KeyTensor(rng(41).normal(size=(batch, heads, seq, dim)))
-        v = KeyTensor(rng(42).normal(size=(batch, heads, seq, dv)))
-        g = rng(43)
-        retained = retention(seq, [
-            [g.permutation(seq)[: int(g.integers(1, seq + 1))] for _ in range(heads)]
-            for _ in range(batch)
-        ])
-        # the whole-tensor float64 expression the slab loop replaced
-        qd, kd, vd = (t.data.astype(np.float64) for t in (q, k, v))
-        scale = np.sqrt(dim)
-        full = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / scale) @ vd
-        kept = np.empty_like(full)
-        for bi in range(batch):
-            for hi in range(heads):
-                idx = retained.indices[bi][hi]
-                kept[bi, hi] = softmax_rows(qd[bi, hi] @ kd[bi, hi, idx].T / scale) @ vd[bi, hi, idx]
-        expected = float(np.linalg.norm(full - kept) / np.linalg.norm(full))
-        assert preservation_error(q, k, v, retained) == expected
-        assert np.array_equal(attention(q, k, v).values, full)
-
-    def test_peak_memory_below_whole_tensor_copy(self):
-        q = random_tensor(44, heads=8, seq=16, dim=64)
-        k = random_tensor(45, heads=8, seq=4096, dim=64)
-        v = random_tensor(46, heads=8, seq=4096, dim=64)
-        retained = retention(4096, [[np.arange(0, 4096, 2)] * 8])
-        whole = k.data.size * 8  # one whole-tensor float64 copy: 16 MiB
-        tracemalloc.start()
-        try:
-            preservation_error(q, k, v, retained)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < whole
 
 
 class TestPearson:

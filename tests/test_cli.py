@@ -331,6 +331,49 @@ class TestValidationFailures:
         assert json.loads(err)["error"] == "MemoryError"
 
 
+# the required flags of each command with a range-checked option; range checks
+# run after the required checks and before any file is opened
+RANGE_REQUIRED = {
+    "compress": ["--keys", "--values", "--out-keys", "--out-values", "--out-mask"],
+    "dilution": ["--out"], "ablation": ["--out"], "separation": ["--out"],
+    "collision-demo": [], "compare": ["--out"],
+}
+RHO_COMMANDS = ("compress", "dilution", "ablation", "collision-demo", "compare")
+SWEEPS = ("dilution", "ablation", "separation")
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[pytest.param([c, "--rho", "1"], "--rho must be in [0, 1), got 1.0", id=f"{c}-rho")
+      for c in RHO_COMMANDS],
+    *[pytest.param([c, "--seeds", ","], "--seeds must list at least one seed", id=f"{c}-seeds")
+      for c in SWEEPS],
+    *[pytest.param([c, "--jobs", "0"], "--jobs must be >= 1, got 0", id=f"{c}-jobs")
+      for c in SWEEPS],
+    pytest.param(["ablation", "--k-clusters", "0"], "--k-clusters must be >= 1, got 0",
+                 id="ablation-k-clusters"),
+    # the rho a flag overrides is type-checked but not range-checked
+    pytest.param(["collision-demo", "--n", "64", "--config", "{tmp}/rho2.json"],
+                 "--rho must be in [0, 1), got 2.0", id="config-rho"),
+    pytest.param(["collision-demo", "--n", "64", "--config", "{tmp}/rho2.json", "--rho", "0.5"],
+                 None, id="config-rho-overridden"),
+    # checks run in row order, whatever the order on the command line: --k-clusters
+    # is declared before --rho
+    pytest.param(["ablation", "--rho", "2", "--k-clusters", "0"],
+                 "--k-clusters must be >= 1, got 0", id="ablation-k-clusters-before-rho"),
+])
+def test_range_rules(capsys, tmp_path, argv, message):
+    (tmp_path / "rho2.json").write_text(json.dumps({"rho": 2}))
+    required = [a for flag in RANGE_REQUIRED[argv[0]] for a in (flag, str(tmp_path / flag[2:]))]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, stdout, err = run_cli(capsys, *argv, *required)
+    if message is None:
+        assert (code, err) == (0, "")
+        return
+    payload = {"error": "ValidationError", "message": message, "exit_code": 2}
+    assert (code, stdout, err) == (2, "", json.dumps(payload) + "\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["rho2.json"]
+
+
 class TestSlabWorkerErrors:
     """Bad payloads that two workers read, one (batch, head) slab each in turn."""
 

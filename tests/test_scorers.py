@@ -81,6 +81,7 @@ SPEC_STRINGS = [
     (ScorerSpec("windowed", 7), "windowed[7]", {"method": "windowed", "window": 7}),
     (ScorerSpec("windowed", 10**6), "windowed[1000000]",
      {"method": "windowed", "window": 10**6}),
+    (ScorerSpec("windowed", np.int64(7)), "windowed[7]", {"method": "windowed", "window": 7}),
     (ScorerSpec("keydiff"), "keydiff", {"method": "keydiff"}),
     (ScorerSpec("knorm"), "knorm", {"method": "knorm"}),
     (ScorerSpec("l1"), "l1", {"method": "l1"}),
@@ -128,6 +129,22 @@ class TestMethodTable:
     def test_scorers_share_the_range_checks(self, call, message):
         with pytest.raises(ValidationError) as raised:
             call()
+        assert str(raised.value) == message
+
+    # a float window (or a text lambda) once failed later with a bare TypeError,
+    # and a bool window scored as a window of 1
+    @pytest.mark.parametrize("method, param, message", [
+        ("windowed", 2.5, "window_size must be an integer, got 2.5"),
+        ("windowed", True, "window_size must be an integer, got True"),
+        ("obs_attention", 1.5, "obs_window must be an integer, got 1.5"),
+        ("obs_attention", False, "obs_window must be an integer, got False"),
+        ("hybrid", True, "hybrid_lambda must be a number, got True"),
+        ("hybrid", "0.5", "hybrid_lambda must be a number, got '0.5'"),
+        ("windowed", "16", "window_size must be an integer, got '16'"),
+    ])
+    def test_parameter_types(self, method, param, message):
+        with pytest.raises(ValidationError) as raised:
+            ScorerSpec(method, param)
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("name, spec", [

@@ -17,7 +17,6 @@ from kvgeom import (
     compute_scores,
     load_kvt,
     manifold_score,
-    preservation_error,
     retention_from_scores,
     save_kvt,
 )
@@ -233,7 +232,6 @@ def _slab_outputs(path, queries, values):
     full = attention(queries, keys, values)
     out["attention"] = full.weights.tobytes() + full.values.tobytes()
     retained = retention_from_scores(manifold_score(keys), BUDGETS[: keys.batch, : keys.heads])
-    out["preservation"] = repr(preservation_error(queries, keys, values, retained))
     cache = compress_cache(keys, values, retained)
     out["compress"] = cache.keys.data.tobytes() + cache.values.data.tobytes() + cache.mask.tobytes()
     return out
