@@ -134,6 +134,48 @@ class TestAttention:
             )
 
 
+class TestPreservationError:
+    """The relative attention-output error of an evicted cache, built from
+    `attention` on the full cache and on each head's rows of `compress_cache`."""
+
+    @pytest.mark.parametrize("batch, heads, queries, seq, dim, dv", [
+        (2, 3, 5, 40, 7, 3),
+        (1, 2, 16, 1001, 128, 64),
+    ])
+    def test_slabwise_equals_whole_tensor_expression(self, batch, heads, queries, seq, dim, dv):
+        q = KeyTensor(rng(40).normal(size=(batch, heads, queries, dim)) * 2.0)
+        k = KeyTensor(rng(41).normal(size=(batch, heads, seq, dim)))
+        v = KeyTensor(rng(42).normal(size=(batch, heads, seq, dv)))
+        g = rng(43)
+        retained = retention(seq, [
+            [g.permutation(seq)[: int(g.integers(1, seq + 1))] for _ in range(heads)]
+            for _ in range(batch)
+        ])
+        # the whole-tensor float64 expression
+        qd, kd, vd = (t.data.astype(np.float64) for t in (q, k, v))
+        scale = np.sqrt(dim)
+        full = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / scale) @ vd
+        kept = np.empty_like(full)
+        for bi in range(batch):
+            for hi in range(heads):
+                idx = retained.indices[bi][hi]
+                kept[bi, hi] = softmax_rows(qd[bi, hi] @ kd[bi, hi, idx].T / scale) @ vd[bi, hi, idx]
+        expected = float(np.linalg.norm(full - kept) / np.linalg.norm(full))
+        # the same error through the library, one (batch, head) of the compressed cache at a time
+        values = attention(q, k, v).values
+        cache = compress_cache(k, v, retained)
+        evicted = np.empty_like(values)
+        for bi in range(batch):
+            for hi in range(heads):
+                n = int(retained.counts[bi, hi])
+                one = (KeyTensor(t[bi : bi + 1, hi : hi + 1]) for t in (
+                    q.data, cache.keys.data[:, :, :n], cache.values.data[:, :, :n]))
+                evicted[bi, hi] = attention(*one).values[0, 0]
+        assert float(np.linalg.norm(values - evicted) / np.linalg.norm(values)) == expected
+        assert np.array_equal(values, full)
+        assert np.array_equal(evicted, kept)
+
+
 # Each call's inputs by shape: 4 axes make a KeyTensor, 3 a keep-all RetentionSet.
 # The keys are (1, 2, 5, 4); values and the keep mask must share their (batch,
 # heads, seq), queries their (batch, heads) and dim, checked in that order.
