@@ -134,9 +134,37 @@ class TestAttention:
             )
 
 
+# Each call's inputs by shape: 4 axes make a KeyTensor, 3 a keep-all RetentionSet.
+# The keys are (1, 2, 5, 4); values and the keep mask must share their (batch,
+# heads, seq), queries their (batch, heads) and dim, checked in that order.
+KEY_VS = "key shape (1, 2, 5, 4) incompatible with value shape "
+QUERY_VS = " incompatible with key shape (1, 2, 5, 4)"
+FRAME = "retention set frame does not match tensors"
+
+
+@pytest.mark.parametrize("fn, shapes, message", [
+    (attention_weights, [(1, 2, 3, 3), (1, 2, 5, 4)], "query shape (1, 2, 3, 3)" + QUERY_VS),
+    (attention_weights, [(1, 1, 3, 4), (1, 2, 5, 4)], "query shape (1, 1, 3, 4)" + QUERY_VS),
+    (attention, [(2, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4)], "query shape (2, 2, 3, 4)" + QUERY_VS),
+    (attention, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 2, 6, 4)], KEY_VS + "(1, 2, 6, 4)"),
+    (compress_cache, [(1, 2, 5, 4), (1, 2, 5, 7), (1, 1, 5)], FRAME),
+    (compress_cache, [(1, 2, 5, 4), (2, 2, 5, 4), (1, 1, 5)], KEY_VS + "(2, 2, 5, 4)"),
+], ids=["weights-dim", "weights-heads", "attention-batch", "attention-values-first",
+        "compress-frame", "compress-values-first"])
+def test_frame_mismatch_messages(fn, shapes, message):
+    args = [KeyTensor(rng(i).normal(size=s)) if len(s) == 4 else RetentionSet(np.ones(s, bool))
+            for i, s in enumerate(shapes)]
+    with pytest.raises(ValidationError) as err:
+        fn(*args)
+    assert str(err.value) == message
+
+
 class TestPreservationError:
     """The relative attention-output error of an evicted cache, built from
-    `attention` on the full cache and on each head's rows of `compress_cache`."""
+    `attention` on the full cache and on each head's rows of `compress_cache`.
+
+    `attention.preservation_error` was removed; the class keeps its name so the
+    ids of these tests stay stable."""
 
     @pytest.mark.parametrize("batch, heads, queries, seq, dim, dv", [
         (2, 3, 5, 40, 7, 3),
@@ -174,31 +202,6 @@ class TestPreservationError:
         assert float(np.linalg.norm(values - evicted) / np.linalg.norm(values)) == expected
         assert np.array_equal(values, full)
         assert np.array_equal(evicted, kept)
-
-
-# Each call's inputs by shape: 4 axes make a KeyTensor, 3 a keep-all RetentionSet.
-# The keys are (1, 2, 5, 4); values and the keep mask must share their (batch,
-# heads, seq), queries their (batch, heads) and dim, checked in that order.
-KEY_VS = "key shape (1, 2, 5, 4) incompatible with value shape "
-QUERY_VS = " incompatible with key shape (1, 2, 5, 4)"
-FRAME = "retention set frame does not match tensors"
-
-
-@pytest.mark.parametrize("fn, shapes, message", [
-    (attention_weights, [(1, 2, 3, 3), (1, 2, 5, 4)], "query shape (1, 2, 3, 3)" + QUERY_VS),
-    (attention_weights, [(1, 1, 3, 4), (1, 2, 5, 4)], "query shape (1, 1, 3, 4)" + QUERY_VS),
-    (attention, [(2, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4)], "query shape (2, 2, 3, 4)" + QUERY_VS),
-    (attention, [(1, 2, 3, 3), (1, 2, 5, 4), (1, 2, 6, 4)], KEY_VS + "(1, 2, 6, 4)"),
-    (compress_cache, [(1, 2, 5, 4), (1, 2, 5, 7), (1, 1, 5)], FRAME),
-    (compress_cache, [(1, 2, 5, 4), (2, 2, 5, 4), (1, 1, 5)], KEY_VS + "(2, 2, 5, 4)"),
-], ids=["weights-dim", "weights-heads", "attention-batch", "attention-values-first",
-        "compress-frame", "compress-values-first"])
-def test_frame_mismatch_messages(fn, shapes, message):
-    args = [KeyTensor(rng(i).normal(size=s)) if len(s) == 4 else RetentionSet(np.ones(s, bool))
-            for i, s in enumerate(shapes)]
-    with pytest.raises(ValidationError) as err:
-        fn(*args)
-    assert str(err.value) == message
 
 
 class TestPearson:
