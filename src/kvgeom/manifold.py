@@ -122,7 +122,8 @@ def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     every other tile; a cloud of one tile runs inline. Tiles start at 0,
     ROW_TILE, 2*ROW_TILE, ... and column blocks at 0, COL_BLOCK, ...
     whatever the worker count, so the BLAS sees the same blocks and the
-    table has the same bits on any number of CPUs. Each block's squared
+    table has the same bits on any number of CPUs while the BLAS runs one
+    thread per call, as `cli.main` sets it. Each block's squared
     distances round as the whole n x n matrix's would (doubling a factor of
     each dot product is exact), and the k smallest of a row are the k
     smallest of its blocks' k smallest, so the table equals the whole
@@ -191,6 +192,10 @@ def estimate_dimensions(
         raise ValidationError(
             f"need more than {max(k_neighbors, 2)} points, got {arr.shape[0]}"
         )
+    # checked here, before the O(n^2) search, not only by the PCA: the PCA runs
+    # after the search, since its freed (n, d) temporary raises the search's peak
+    if not 0.0 < threshold <= 1.0:
+        raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
     nn = _sorted_nn_dists(arr, k_neighbors)
     twonn, discarded = _twonn_from_dists(nn[:, :2])
     return DimensionReport(

@@ -17,6 +17,11 @@ The second form compares two manifests. It prints each case whose lines
 differ and fails unless those cases are exactly the ones DECLARED lists, one
 per line (a commit's `Output-Change:` trailer values).
 
+A manifest written under `taskset -c 0` (one CPU: one worker, and a
+one-thread BLAS) must equal one written on all CPUs, with nothing declared
+(DECLARED may be /dev/null). The 3001-point cloud and the (2, 3, 700, 16)
+slabs are the cases where a report could depend on the CPU count.
+
 The file name keeps pytest from collecting it.
 """
 
@@ -47,6 +52,24 @@ DILUTION = ["dilution", "--k-grid", "1,4", "--n", "256", "--d", "16", "--seeds",
 ABLATION = ["ablation", "--n", "256", "--d", "16", "--k-clusters", "4", "--seeds", "0,1"]
 COMPARE = ["compare", "--out", "{out}/c.csv"]
 TTEST = ["ttest", "--a", "in/a.csv", "--b", "in/b.csv"]
+# 3001 points: not a multiple of 8, and 24 row tiles, the last one ragged
+DIM_3001 = ["dim-estimate", "--input", "gen-clusters-3001/c.kvt"]
+# cases run on in/slab-{k,v,q}.kvt, six (batch, head) slabs of 700 rows
+# (three per worker), in place of in/{k,v,q}.kvt
+SLAB_CASES = {
+    "score-out-kvt": [*SCORE, "--method", "manifold", "--out-kvt", "{out}/s.kvt"],
+    "score-hybrid": [*SCORE, "--method", "hybrid", "--lambda", "0.3"],
+    "compress-manifold-proportional": [*COMPRESS, "--rho", "0.25", "--method", "manifold",
+                                       "--mode", "proportional"],
+    "compress-obs-attention": [*COMPRESS, "--rho", "0.25", "--method", "obs_attention",
+                               "--obs-window", "16", "--queries", "in/q.kvt"],
+    # queries drawn once and broadcast over the (2, 3) frame
+    "compare-drawn-queries": [*COMPARE, "--input", "in/k.kvt", "--methods",
+                              "manifold,obs_attention"],
+    "compare-params": [*COMPARE, "--input", "in/k.kvt", "--methods",
+                       "windowed,hybrid,obs_attention", "--window", "64", "--lambda", "0.3",
+                       "--obs-window", "16"],
+}
 # listed here, not read from kvgeom, so that both sides run the same cases
 COMMANDS = ("score", "compress", "gen", "dilution", "ablation", "dim-estimate",
             "collision-demo", "separation", "compare", "ttest")
@@ -127,6 +150,16 @@ CASES = {
     "exit-2-bad-magic": [*SCORE, "--method", "manifold", "--input", "in/magic.kvt"],
     "exit-3-missing-input": [*SCORE, "--method", "manifold", "--input", "in/missing.kvt"],
     "exit-4-identical-points": ["dim-estimate", "--input", "in/same.kvt", "--out", "{out}/d.csv"],
+    # a bad threshold exits 2 before the neighbor search
+    "dim-estimate-threshold-2": [*DIM, "--pooled", "--threshold", "2", "--out", "{out}/d.csv"],
+    # larger inputs on which a report could depend on the CPU count (run the
+    # matrix on one CPU and on all to compare)
+    "gen-clusters-3001": ["gen", "--kind", "clusters", "--n", "3001", "--d", "16",
+                          "--out-keys", "{out}/c.kvt", "--out-meta", "{out}/c.json"],
+    "dim-estimate-3001-heads": [*DIM_3001, "--out", "{out}/d.csv"],
+    "dim-estimate-3001-pooled": [*DIM_3001, "--pooled", "--out", "{out}/d.csv"],
+    **{f"slabs-{name}": [a.replace("in/", "in/slab-") for a in argv]
+       for name, argv in SLAB_CASES.items()},
 }
 
 
@@ -148,6 +181,9 @@ def _write_inputs(root: Path) -> None:
     _kvt(inputs / "cloud.kvt", cloud)
     _kvt(inputs / "same.kvt", np.ones((1, 1, 16, 4)))
     _kvt(inputs / "magic.kvt", np.zeros((1, 1, 2, 2)), magic=b"KVT0")
+    slabs = np.random.default_rng(0)
+    for name in ("k", "v", "q"):
+        _kvt(inputs / f"slab-{name}.kvt", slabs.standard_normal((2, 3, 700, 16)))
     (inputs / "a.csv").write_text("score\n1.0\n2.5\n3.0\n4.25\n")
     (inputs / "b.csv").write_text("score\n0.5\n2.0\n3.5\n3.0\n")
     configs = {"lambda": {"lambda": 0.3}, "window": {"window": "x"}, "rho": {"rho": 2}}

@@ -30,7 +30,7 @@ from kvgeom import (
     save_kvt,
     save_sidecar,
 )
-from kvgeom import cli, tensor
+from kvgeom import cli, manifold, tensor
 from kvgeom.cli import COMMANDS, build_parser, main, parse_config
 from kvgeom.scorers import METHOD_TABLE
 from kvgeom.tensor import freeze
@@ -733,6 +733,60 @@ class TestDimEstimateCommand:
         rows = read_report_csv(pooled)
         assert len(rows) == 1 and rows[0]["row"] == "pooled"
         assert int(rows[0]["n_points"]) == 128
+
+    def test_bad_threshold_exits_before_the_neighbor_search(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "k.kvt"
+        save_kvt(random_tensor(2, batch=1, heads=2, seq=64, dim=8), path)
+
+        def no_search(points, k):
+            raise AssertionError("the O(n^2) neighbor search ran")
+
+        monkeypatch.setattr(manifold, "_sorted_nn_dists", no_search)
+        code, _, err = run_cli(capsys, "dim-estimate", "--input", str(path), "--pooled",
+                               "--threshold", "2", "--out", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert json.loads(err)["message"] == "threshold must be in (0, 1], got 2.0"
+
+
+class TestBlasThreads:
+    """`main` runs numpy's BLAS on one thread and gives the caller's count back."""
+
+    @pytest.fixture
+    def blas(self):
+        found = cli._blas_threads()
+        if found is None:
+            pytest.skip("no thread-count setter in numpy's bundled BLAS")
+        get_threads, set_threads = found
+        callers = get_threads()
+        yield found
+        set_threads(callers)
+
+    def test_report_bytes_do_not_depend_on_the_callers_threads(self, blas, capsys, tmp_path):
+        from output_matrix import _write_inputs
+
+        # the output matrix's cloud, pooled: 300 points at d = 16, so the k-NN
+        # blocks have 300 columns, not a multiple of 8, which a multi-threaded
+        # OpenBLAS rounds otherwise
+        _write_inputs(tmp_path)
+        get_threads, set_threads = blas
+        reports = []
+        for threads in (2, 1):
+            set_threads(threads)
+            out = tmp_path / f"threads-{threads}.csv"
+            code, _, _ = run_cli(capsys, "dim-estimate", "--input", str(tmp_path / "in/cloud.kvt"),
+                                 "--pooled", "--out", str(out))
+            assert code == 0
+            assert get_threads() == threads
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_a_failing_command_gives_the_threads_back(self, blas, capsys, keys_file, tmp_path):
+        get_threads, set_threads = blas
+        set_threads(2)
+        code, _, _ = run_cli(capsys, "dim-estimate", "--input", str(keys_file),
+                             "--threshold", "2", "--out", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert get_threads() == 2
 
 
 class TestCollisionDemoCommand:
