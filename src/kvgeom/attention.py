@@ -7,12 +7,13 @@ this is part of the numerical contract, not an optimization.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_memory
 from .tensor import KeyTensor, _check_frames, _each_slab, all_finite
 
 
@@ -38,7 +39,9 @@ def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
     Queries and keys go to float64 one (batch, head) slab at a time, keys into a worker's buffer.
     """
     _check_frames(keys, q=queries)
-    out = np.empty(queries.shape[:3] + (keys.seq_len,))
+    shape = queries.shape[:3] + (keys.seq_len,)
+    check_memory(8 * math.prod(shape), f"a {shape} float64 attention weight tensor")
+    out = np.empty(shape)
 
     def slab(bi, hi, k):
         np.copyto(k, keys.data[bi, hi])

@@ -9,7 +9,11 @@ machine-readable JSON object to stderr. The KVM_SEED environment variable
 
 Each option is declared once, as a row of its command in `_COMMANDS`; the
 parser, the help text, the defaults, the typing of config values, the
-required checks and the range checks all come from those rows.
+required checks and the range checks all come from those rows. Two rules
+hand the options on: an option's config key is the library parameter it
+sets (a sweep is passed each option whose key names one of its
+parameters), and a report's metadata is its command's options other than
+--config, --out and --format.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import csv
+import inspect
 import io
 import json
 import os
@@ -227,8 +232,9 @@ def parse_config(argv) -> RunConfig:
         sources.append(_load_json_config(ns.config, command, table))
     sources.append({k: v for k, v in vars(ns).items() if k in table and v is not None})
 
-    # every value of every source is checked, also one a later source overrides
-    options = dict.fromkeys(table)
+    # every value of every source is checked, also one a later source overrides;
+    # a switch is False unless set
+    options = {key: False if o.type is bool else None for key, o in table.items()}
     for source in sources:
         for key, value in source.items():
             options[key] = _coerce(table[key], value)
@@ -271,8 +277,10 @@ def _load_queries(opts, methods) -> KeyTensor | None:
     return load_kvt(path)
 
 
-def _write_report(opts, name: str, columns: list, rows, params: dict) -> None:
-    """Write `rows` to --out in --format, with `params` and their config hash as metadata."""
+def _write_report(opts, name: str, columns: list, rows) -> None:
+    """Write `rows` to --out in --format, with the command's options but
+    --config, --out and --format, and their config hash, as metadata."""
+    params = {k: v for k, v in opts.items() if k not in ("config", "out", "format")}
     report = Report(name, columns, rows, {**params, "config_hash": config_hash(params)})
     report.write(opts["out"], opts["format"])
 
@@ -326,9 +334,7 @@ def _gen_scenario(opts) -> Scenario:
     epsilon = opts["epsilon"]
     if epsilon is None:
         epsilon = 10.0 if opts["kind"] == "subspace" else 0.1
-    switches = {"strict_separation": bool(opts["strict_separation"]),
-                "shuffle": bool(opts["shuffle"])}
-    return regenerate(opts["kind"], {**opts, **switches, "epsilon": epsilon})
+    return regenerate(opts["kind"], {**opts, "epsilon": epsilon})
 
 
 def _cmd_gen(opts) -> int:
@@ -342,12 +348,14 @@ def _cmd_gen(opts) -> int:
     return 0
 
 
+def _by_name(fn, opts, **given):
+    """`fn(**given)`, also passed each option whose config key names one of its parameters."""
+    names = inspect.signature(fn).parameters
+    return fn(**{k: v for k, v in opts.items() if k in names}, **given)
+
+
 def _cmd_dilution(opts) -> int:
-    report = dilution_sweep(
-        k_grid=opts["k_grid"], n=opts["n"], d=opts["d"], rho=opts["rho"],
-        window=opts.get("window"), seeds=opts["seeds"], spread=opts["spread"],
-        separation=opts["separation"], jobs=opts["jobs"],
-    )
+    report = _by_name(dilution_sweep, opts)
     report.write(opts["out"], opts["format"])
     means = [r for r in report.rows if r["row"] == "mean"]
     worst = max(means, key=lambda r: r["gap"])
@@ -359,15 +367,7 @@ def _cmd_dilution(opts) -> int:
 
 
 def _cmd_ablation(opts) -> int:
-    w_grid = opts.get("w_grid")
-    if w_grid is None:
-        extent = max(1, opts["n"] // opts["k_clusters"])
-        w_grid = sorted({max(1, extent // 2), extent, 2 * extent, 4 * extent, opts["n"]})
-    report = window_ablation(
-        w_grid=w_grid, n=opts["n"], d=opts["d"], k_clusters=opts["k_clusters"],
-        rho=opts["rho"], seeds=opts["seeds"], spread=opts["spread"],
-        separation=opts["separation"], jobs=opts["jobs"],
-    )
+    report = _by_name(window_ablation, opts)
     report.write(opts["out"], opts["format"])
     print(
         f"ablation: wrote {opts['out']} ({len(report.rows)} rows); "
@@ -379,7 +379,7 @@ def _cmd_ablation(opts) -> int:
 def _cmd_dim_estimate(opts) -> int:
     keys = load_kvt(opts["input"])
     rows = []
-    if opts.get("pooled"):
+    if opts["pooled"]:
         points = keys.data.reshape(-1, keys.head_dim).astype(np.float64)
         del keys  # only the float64 points are read from here on
         rep = estimate_dimensions(points, opts["threshold"], opts["k_neighbors"])
@@ -391,9 +391,7 @@ def _cmd_dim_estimate(opts) -> int:
                 rows.append({"row": "per_head", "batch": b, "head": h, **rep.to_dict()})
     columns = ["row", "batch", "head", "pca_d95", "twonn", "mle", "pca_ratio",
                "n_points", "ambient_dim", "discarded_pairs"]
-    _write_report(opts, "dim-estimate", columns, rows,
-                  {"input": opts["input"], "threshold": opts["threshold"],
-                   "k_neighbors": opts["k_neighbors"], "pooled": bool(opts.get("pooled"))})
+    _write_report(opts, "dim-estimate", columns, rows)
     first = rows[0]
     print(
         f"dim-estimate: wrote {opts['out']} ({len(rows)} reports); "
@@ -420,19 +418,13 @@ def _cmd_collision_demo(opts) -> int:
         )
     if opts.get("out"):
         _write_report(opts, "collision-demo",
-                      ["method", "retained_needles", "total_needles", "retention"], rows,
-                      {k: opts[k] for k in ("magnitudes", "epsilon", "n", "d", "rho", "seed")})
+                      ["method", "retained_needles", "total_needles", "retention"], rows)
         print(f"collision-demo: wrote {opts['out']}")
     return 0
 
 
 def _cmd_separation(opts) -> int:
-    report = separation_test(
-        k=opts["k"], d=opts["d"], sigma=opts["sigma"], epsilon=opts["epsilon"],
-        n_grid=opts["n_grid"], n_out=opts["n_out"], seeds=opts["seeds"],
-        spec=_scorer_spec(opts), kind=opts["kind"], alpha=opts["alpha"],
-        jobs=opts["jobs"],
-    )
+    report = _by_name(separation_test, opts, spec=_scorer_spec(opts))
     report.write(opts["out"], opts["format"])
     means = [r for r in report.rows if r["row"] == "mean"]
     tail = means[-1]
@@ -487,8 +479,7 @@ def _cmd_ttest(opts) -> int:
     )
     if opts.get("out"):
         columns = ["n", "mean_diff", "std_err", "t_stat", "p_value", "df", "degenerate"]
-        _write_report(opts, "ttest", columns, [{c: getattr(result, c) for c in columns}],
-                      {"a": opts["a"], "b": opts["b"], "col": opts["col"]})
+        _write_report(opts, "ttest", columns, [{c: getattr(result, c) for c in columns}])
         print(f"ttest: wrote {opts['out']}")
     return 0
 

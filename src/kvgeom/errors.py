@@ -8,6 +8,7 @@ Config files, scenario sidecars and CSV reports are read through
 from __future__ import annotations
 
 import csv
+import os
 import sys
 from typing import get_args, get_origin
 
@@ -30,6 +31,19 @@ EXPECTED = {
     list[int]: "a list of integers",
     list[float]: "a list of finite numbers",
 }
+
+
+def check_memory(need: int, what: str, held: str = "") -> None:
+    """Refuse, before it is allocated, a request of `need` bytes beyond the
+    machine's physical memory, where the platform reports it, with the
+    message "<what> needs <N> GiB<held>, more than the <M> GiB of ..."."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValidationError(f"{what} needs {need / 2**30:.3g} GiB{held}, "
+                              f"more than the {have / 2**30:.3g} GiB of physical memory")
 
 
 def parse_file(path, parse, what: str):

@@ -63,32 +63,26 @@ def retention_rate(retained, needles) -> float:
     return hits / total
 
 
-def _auto_queries(scenario: Scenario, spec: ScorerSpec) -> KeyTensor | None:
-    """The queries an obs_attention spec observes when none are given: one
-    window of needle-probing queries (random ones for a scenario without
-    needles), drawn from a seed derived from the scenario's; None for any
-    other method."""
-    if spec.method != "obs_attention":
-        return None
-    mode = "needle_probing" if scenario.needles else "random"
-    seed = int(scenario.params["seed"]) + _QUERY_SEED_OFFSET
-    return gen_queries(scenario, spec.param, mode, seed)
+def _score_and_keep(scenario: Scenario, spec: ScorerSpec, m: int, queries=None) -> tuple:
+    """(scores, top-m retention) of one spec on a scenario's keys.
+
+    An obs_attention spec given no queries observes one window of
+    needle-probing queries (random ones for a scenario without needles),
+    drawn from a seed derived from the scenario's.
+    """
+    if queries is None and spec.method == "obs_attention":
+        mode = "needle_probing" if scenario.needles else "random"
+        seed = int(scenario.params["seed"]) + _QUERY_SEED_OFFSET
+        queries = gen_queries(scenario, spec.param, mode, seed)
+    scores = compute_scores(spec, scenario.keys, queries=queries)
+    return scores, retention_from_scores(scores, m)
 
 
-def run_retention(
-    scenario: Scenario,
-    spec: ScorerSpec,
-    rho: float,
-    queries: KeyTensor | None = None,
-) -> RetentionResult:
+def run_retention(scenario: Scenario, spec: ScorerSpec, rho: float) -> RetentionResult:
     """Score -> budget -> top-k -> needle retention for one scenario."""
     if not scenario.needles:
         raise ValidationError("scenario has no needles to retain")
-    if queries is None:
-        queries = _auto_queries(scenario, spec)
-    scores = compute_scores(spec, scenario.keys, queries=queries)
-    m = budget(scenario.seq_len, rho)
-    retained = retention_from_scores(scores, m)
+    _, retained = _score_and_keep(scenario, spec, budget(scenario.seq_len, rho))
     hits, total = _count_needle_hits(retained, scenario.needles)
     return RetentionResult(hits, total, hits / total)
 
@@ -167,10 +161,7 @@ def separation_test(
             )
         else:
             scenario = gen_radial_failure(alpha=alpha, epsilon=epsilon, n=n, d=d, seed=seed)
-        queries = _auto_queries(scenario, spec)
-        scores = compute_scores(spec, scenario.keys, queries=queries)
-        retained = retention_from_scores(scores, n_out)
-        rate = retention_rate(retained, scenario.needles)
+        rate = retention_rate(_score_and_keep(scenario, spec, n_out)[1], scenario.needles)
         return {"row": "run", "n": n, "seed": seed, "retention": rate,
                 "success": rate == 1.0}
 
@@ -223,7 +214,8 @@ def dilution_sweep(
 
 
 def window_ablation(
-    w_grid,
+    w_grid=None,
+    *,
     n: int,
     d: int,
     k_clusters: int,
@@ -235,10 +227,16 @@ def window_ablation(
 ) -> Report:
     """Windowed retention across window sizes on one cluster-mixture family.
 
-    The best window (highest seed-mean retention, ties resolved toward the
-    larger window, which costs fewer centroid computations) is flagged in
-    the report metadata.
+    The window grid defaults to C/2, C, 2C, 4C and n for the topic length
+    C = n // k_clusters. The best window (highest seed-mean retention, ties
+    resolved toward the larger window, which costs fewer centroid
+    computations) is flagged in the report metadata.
     """
+    if k_clusters < 1:
+        raise ValidationError(f"k_clusters must be >= 1, got {k_clusters}")
+    if w_grid is None:
+        extent = max(1, n // k_clusters)
+        w_grid = sorted({max(1, extent // 2), extent, 2 * extent, 4 * extent, n})
     w_grid = [int(w) for w in w_grid]
     seeds = [int(s) for s in seeds]
     if not w_grid or any(w < 1 for w in w_grid):
@@ -308,9 +306,7 @@ def compare_methods(
     m = budget(scenario.seq_len, rho)
     scored = []
     for spec in specs:
-        q = queries if queries is not None else _auto_queries(scenario, spec)
-        scores = compute_scores(spec, scenario.keys, queries=q)
-        scored.append((spec.label(), scores, retention_from_scores(scores, m)))
+        scored.append((spec.label(), *_score_and_keep(scenario, spec, m, queries)))
 
     rows = []
     for i in range(len(scored)):

@@ -82,11 +82,8 @@ def _format_column(values, block: int):
 
 
 class Columns:
-    """Report rows held as one array (or list) per column.
-
-    Reads as a sequence of row dicts, like the `rows` list it stands in for,
-    while the CSV writer takes each column whole.
-    """
+    """Report rows held as one array (or list) per column, which the CSV
+    writer takes whole; a report of Columns is written as CSV only."""
 
     def __init__(self, **columns):
         if len({len(v) for v in columns.values()}) > 1:
@@ -95,12 +92,6 @@ class Columns:
 
     def __len__(self) -> int:
         return len(next(iter(self.data.values()), ()))
-
-    def __getitem__(self, i: int) -> dict:
-        return {name: values[i] for name, values in self.data.items()}
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ValidationError, json_value, parse_file
+from .errors import ValidationError, check_memory, json_value, parse_file
 from .report import write_json
 from .tensor import ROW_CHUNK, KeyTensor, freeze
 
@@ -103,27 +103,10 @@ def _needle_positions(rng: np.random.Generator, count: int, n: int) -> np.ndarra
 
 def _check_size(n: int, d: int, k: int = 0) -> None:
     """Refuse, before any allocation, an n x d scenario whose float64 keys
-    alone, or whose (d, k) subspace basis, exceed the machine's physical
-    memory (where the platform reports it)."""
-    import os
-
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    need = 8 * n * d
-    if need > have:
-        raise ValidationError(
-            f"an n={n} x d={d} scenario needs {need / 2**30:.3g} GiB of float64 keys, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    alone, or whose (d, k) subspace basis, exceed physical memory."""
+    check_memory(8 * n * d, f"an n={n} x d={d} scenario", " of float64 keys")
     # per basis entry: the float64 draw and Q factor, a Python float and list slot in params
-    need = 48 * d * k
-    if need > have:
-        raise ValidationError(
-            f"a d={d} x k={k} subspace basis needs {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    check_memory(48 * d * k, f"a d={d} x k={k} subspace basis")
 
 
 def _as_tensor(matrix: np.ndarray) -> KeyTensor:

@@ -11,7 +11,8 @@ writes its files under a directory named after it, and every path is
 relative to the temporary directory, so two checkouts give the same
 manifest wherever they run. A case that raises past `main` (a traceback,
 exit 1 on the command line) is recorded with exit 1 and the exception's
-last line as its stderr.
+last line as its stderr. A case named in PATCHED runs with one module
+attribute replaced, for a failure that no input file causes.
 
 The second form compares two manifests. It prints each case whose lines
 differ and fails unless those cases are exactly the ones DECLARED lists, one
@@ -36,6 +37,7 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -160,6 +162,31 @@ CASES = {
     "dim-estimate-3001-pooled": [*DIM_3001, "--pooled", "--out", "{out}/d.csv"],
     **{f"slabs-{name}": [a.replace("in/", "in/slab-") for a in argv]
        for name, argv in SLAB_CASES.items()},
+    # the boundary's own messages: malformed KVT1 files, frames, configs, flags,
+    # CSVs and sidecars
+    **{f"exit-2-kvt-{name}": [*SCORE, "--method", "manifold", "--input", f"in/{name}.kvt"]
+       for name in ("short", "zero-dim", "truncated", "nan")},
+    "exit-2-kvt-shrinks-while-read": [*SCORE, "--method", "manifold"],
+    "score-out-kvt-beyond-float32": [*SCORE, "--method", "manifold", "--input", "in/big.kvt",
+                                     "--out-kvt", "{out}/s.kvt"],
+    "compress-values-frame": [a.replace("in/v.kvt", "in/q.kvt") for a in COMPRESS],
+    "score-obs-attention-query-dim": [*SCORE, "--method", "obs_attention", "--obs-window", "4",
+                                      "--queries", "in/cloud.kvt"],
+    **{f"score-config-{name}": [*SCORE, "--method", "manifold", "--config", f"in/{name}.json"]
+       for name in ("root-list", "unknown-key", "malformed")},
+    "score-missing-out": ["score", "--input", "in/k.kvt", "--method", "manifold"],
+    "score-unknown-method": [*SCORE, "--method", "bogus"],
+    "ttest-empty-csv": [*TTEST, "--a", "in/empty.csv"],
+    "ttest-missing-column": [*TTEST, "--a", "in/two-columns.csv"],
+    **{f"gen-sidecar-{name}": [*GEN, "--from-sidecar", f"in/sidecar-{name}.json"]
+       for name in ("root-list", "missing-needles", "params-list", "needles-text",
+                    "needles-mismatch")},
+}
+# name -> (module, attribute, replacement): a case that runs with one attribute
+# replaced, for a failure that no input file causes
+PATCHED = {
+    # the file ends after its header while load_kvt reads the payload
+    "exit-2-kvt-shrinks-while-read": (os, "preadv", lambda fd, buffers, offset: 0),
 }
 
 
@@ -181,14 +208,30 @@ def _write_inputs(root: Path) -> None:
     _kvt(inputs / "cloud.kvt", cloud)
     _kvt(inputs / "same.kvt", np.ones((1, 1, 16, 4)))
     _kvt(inputs / "magic.kvt", np.zeros((1, 1, 2, 2)), magic=b"KVT0")
+    (inputs / "short.kvt").write_bytes(b"KVT1\x01")
+    _kvt(inputs / "zero-dim.kvt", np.zeros((1, 0, 4, 2)))
+    (inputs / "truncated.kvt").write_bytes(b"KVT1" + np.array([1, 1, 2, 2], "<u4").tobytes()
+                                           + bytes(12))
+    _kvt(inputs / "nan.kvt", np.array([1.0, np.nan]).reshape(1, 1, 2, 1))
+    # alternating +-3e38 keys: scores near 6e38, beyond float32
+    _kvt(inputs / "big.kvt", np.resize([3e38, -3e38], (4, 4)).T.reshape(1, 1, 4, 4))
     slabs = np.random.default_rng(0)
     for name in ("k", "v", "q"):
         _kvt(inputs / f"slab-{name}.kvt", slabs.standard_normal((2, 3, 700, 16)))
     (inputs / "a.csv").write_text("score\n1.0\n2.5\n3.0\n4.25\n")
     (inputs / "b.csv").write_text("score\n0.5\n2.0\n3.5\n3.0\n")
-    configs = {"lambda": {"lambda": 0.3}, "window": {"window": "x"}, "rho": {"rho": 2}}
-    for name, obj in configs.items():
+    (inputs / "empty.csv").write_text("# nothing but a comment\n")
+    (inputs / "two-columns.csv").write_text("x,y\n1.0,2.0\n3.0,4.0\n")
+    radial = {"alpha": 100.0, "epsilon": 0.1, "n": 64, "d": 8, "seed": 0}
+    files = {"lambda": {"lambda": 0.3}, "window": {"window": "x"}, "rho": {"rho": 2},
+             "root-list": [1], "unknown-key": {"bogus": 1},
+             "sidecar-root-list": [], "sidecar-missing-needles": {"kind": "radial", "params": {}},
+             "sidecar-params-list": {"kind": "radial", "params": [64], "needles": [1]},
+             "sidecar-needles-text": {"kind": "radial", "params": radial, "needles": ["x"]},
+             "sidecar-needles-mismatch": {"kind": "radial", "params": radial, "needles": []}}
+    for name, obj in files.items():
         (inputs / f"{name}.json").write_text(json.dumps(obj))
+    (inputs / "malformed.json").write_text("{")
 
 
 def _sha(data: bytes) -> str:
@@ -201,7 +244,8 @@ def _run_case(name: str, argv: list) -> list:
     out_dir = Path(name)
     out_dir.mkdir()
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    patch = mock.patch.object(*PATCHED[name]) if name in PATCHED else contextlib.nullcontext()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), patch:
         try:
             code = main([a.replace("{out}", name) for a in argv])
         except SystemExit as exc:  # --help

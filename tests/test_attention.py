@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,15 +17,18 @@ from kvgeom import (
     attention_weights,
     compress_cache,
     compute_scores,
+    gen_cluster_mixture,
     gen_queries,
     gen_subspace_scenario,
     manifold_score,
     keydiff_score,
     pearson,
+    save_sidecar,
     selection_overlap,
     spearman,
 )
 from kvgeom.attention import average_ranks, softmax_rows
+from kvgeom.cli import main
 
 from conftest import TIE_HEAVY, kt, random_tensor, retention, rng
 
@@ -45,6 +50,44 @@ def loop_average_ranks(x) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+class TestWeightsSizeLimit:
+    """The (batch, heads, queries, keys) float64 weights are refused, before
+    they are allocated, when they exceed physical memory; the machine is
+    pretended to have 1 MiB (2**10 pages of 2**10 bytes)."""
+
+    @pytest.fixture(autouse=True)
+    def one_mib(self, monkeypatch):
+        monkeypatch.setattr(os, "sysconf", lambda name: 2**10)
+
+    def test_weights_beyond_physical_memory_refused(self):
+        keys = random_tensor(0, heads=2, seq=512, dim=4)
+        with pytest.raises(ValidationError, match=r"^a \(1, 2, 256, 512\) float64 attention "
+                           r"weight tensor needs 0\.00195 GiB, more than the 0\.000977 GiB "
+                           r"of physical memory$"):
+            attention_weights(random_tensor(1, heads=2, seq=256, dim=4), keys)
+        # exactly 1 MiB fits
+        assert attention_weights(random_tensor(1, heads=2, seq=128, dim=4), keys).nbytes == 2**20
+
+    def test_obs_window_beyond_physical_memory_exits_2(self, capsys, tmp_path):
+        # 4096 drawn queries over 64 keys need 2 MiB of weights; the queries
+        # themselves take 128 KiB
+        save_sidecar(gen_cluster_mixture(n=64, d=8, k_clusters=2, spread=1.0, separation=10.0,
+                                          seed=0), tmp_path / "m.json")
+        tracemalloc.start()
+        try:
+            code = main(["compare", "--sidecar", str(tmp_path / "m.json"), "--methods",
+                         "manifold,obs_attention", "--obs-window", "4096",
+                         "--out", str(tmp_path / "c.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and json.loads(err)["exit_code"] == 2
+        assert "attention weight tensor needs" in json.loads(err)["message"]
+        assert peak < 2**20
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestAttention:

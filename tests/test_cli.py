@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -157,6 +158,20 @@ class TestParseConfig:
         assert opts["k_grid"] == [1, 4] and opts["seeds"] == [3, 4]
         assert opts["spread"] == 1.0 and type(opts["spread"]) is float
         assert opts["rho"] == 0.5
+
+    # the smallest valid argv of each command that has a switch
+    SWITCH_ARGV = {"gen": ["gen", "--kind", "clusters", "--out-keys", "k", "--out-meta", "m"],
+                   "dim-estimate": ["dim-estimate", "--input", "k.kvt", "--out", "d.csv"]}
+
+    @pytest.mark.parametrize("command, option", [
+        (name, o) for name, c in cli._COMMANDS.items() for o in c.options if o.type is bool])
+    def test_switches_are_false_unless_set(self, tmp_path, command, option):
+        argv = self.SWITCH_ARGV[command]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({option.key: False}))
+        assert parse_config(argv).options[option.key] is False
+        assert parse_config([*argv, option.flag]).options[option.key] is True
+        assert parse_config([*argv, "--config", str(cfg)]).options[option.key] is False
 
 
 GEN_OUT = ["--out-keys", "{tmp}/k.kvt", "--out-meta", "{tmp}/m.json"]
@@ -673,6 +688,28 @@ class TestSweepCommands:
         with mock.patch.object(tensor, "_usable_cpus", return_value=8):
             assert run_cli(capsys, *args, "--jobs", "3", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command, sweep", [("dilution", "dilution_sweep"),
+                                                ("ablation", "window_ablation"),
+                                                ("separation", "separation_test")])
+    def test_sweep_is_passed_each_option_by_name(self, monkeypatch, command, sweep):
+        # a renamed parameter or option would otherwise drop the option silently
+        class Passed(Exception):
+            pass
+
+        @functools.wraps(getattr(cli, sweep))  # keeps the signature the handler reads
+        def record(**kwargs):
+            raise Passed(kwargs)
+
+        monkeypatch.setattr(cli, sweep, record)
+        config = parse_config([command, "--out", os.devnull])
+        with pytest.raises(Passed) as passed:
+            cli.run(config)
+        expected = set(config.options) - {"config", "out", "format"}
+        if "method" in expected:  # the scorer flags become one spec
+            expected -= {"method", *(o.key for o in cli._scorer_options())}
+            expected.add("spec")
+        assert set(passed.value.args[0]) == expected
 
     def test_ablation_default_grid(self, capsys, tmp_path):
         out = tmp_path / "a.json"

@@ -24,7 +24,7 @@ from kvgeom import (
     window_ablation,
 )
 
-from kvgeom import tensor
+from kvgeom import experiments, tensor
 from kvgeom.experiments import _count_needle_hits, _map_jobs
 
 from conftest import retention, rng
@@ -229,6 +229,31 @@ class TestWindowAblation:
         # once numpy's "Mean of empty slice" warning and a NaN mean row
         with pytest.raises(ValidationError, match="at least one seed"):
             window_ablation(w_grid=[64], n=128, d=8, k_clusters=2, rho=0.2, seeds=[])
+
+    @pytest.mark.parametrize("n, k_clusters, grid", [
+        (256, 4, [32, 64, 128, 256]),  # the output matrix's ablation cases
+        (8192, 16, [256, 512, 1024, 2048, 8192]),  # the CLI defaults, as the benchmark runs them
+        (4096, 4, [512, 1024, 2048, 4096]),  # the benchmark's small sizes
+        (6, 16, [1, 2, 4, 6]),  # fewer tokens than clusters: C = 1
+    ])
+    def test_default_grid_is_half_one_two_four_topic_lengths_and_n(self, monkeypatch, n,
+                                                                      k_clusters, grid):
+        # C = n // k_clusters; the grid is read where the sweep starts, before any scenario
+        class Grid(Exception):
+            pass
+
+        def sweep(name, column, points, *args, **kwargs):
+            raise Grid(points)
+
+        monkeypatch.setattr(experiments, "_sweep", sweep)
+        with pytest.raises(Grid) as got:
+            window_ablation(n=n, d=8, k_clusters=k_clusters, rho=0.25)
+        assert got.value.args[0] == grid
+
+    @pytest.mark.parametrize("w_grid", [None, [64]])
+    def test_zero_clusters_refused_before_any_division(self, w_grid):
+        with pytest.raises(ValidationError, match="k_clusters must be >= 1, got 0"):
+            window_ablation(w_grid, n=128, d=8, k_clusters=0, rho=0.2)
 
 
 class TestPairedTTest:
