@@ -9,11 +9,11 @@ machine-readable JSON object to stderr. The KVM_SEED environment variable
 
 Each option is declared once, as a row of its command in `_COMMANDS`; the
 parser, the help text, the defaults, the typing of config values, the
-required checks and the range checks all come from those rows. Two rules
-hand the options on: an option's config key is the library parameter it
-sets (a sweep is passed each option whose key names one of its
-parameters), and a report's metadata is its command's options other than
---config, --out and --format.
+required checks and the range checks all come from those rows, and a config
+file's keys are exactly those rows (--config is the parser's own flag). Two
+rules hand the options on: an option's config key is the library parameter
+it sets (a sweep is passed each option whose key names one of its
+parameters), and a report's metadata is its options but --out and --format.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ class _Command(NamedTuple):
 
 
 def _command(handler: Callable, summary: str, *options: Option) -> _Command:
-    config = Option("--config", help="JSON config file; explicit flags override its values")
-    return _Command(summary, (config, *options), handler)
+    return _Command(summary, options, handler)
 
 
 def _method(**kwargs) -> Option:
@@ -161,6 +160,7 @@ def build_parser() -> _Parser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.summary, description=command.summary,
                            formatter_class=_fmt)
+        p.add_argument("--config", help="JSON config file; explicit flags override its values")
         for o in command.options:
             if o.required:
                 note = " (required)"
@@ -279,8 +279,8 @@ def _load_queries(opts, methods) -> KeyTensor | None:
 
 def _write_report(opts, name: str, columns: list, rows) -> None:
     """Write `rows` to --out in --format, with the command's options but
-    --config, --out and --format, and their config hash, as metadata."""
-    params = {k: v for k, v in opts.items() if k not in ("config", "out", "format")}
+    --out and --format, and their config hash, as metadata."""
+    params = {k: v for k, v in opts.items() if k not in ("out", "format")}
     report = Report(name, columns, rows, {**params, "config_hash": config_hash(params)})
     report.write(opts["out"], opts["format"])
 

@@ -166,7 +166,8 @@ def separation_test(
                 "success": rate == 1.0}
 
     params = {"k": k, "d": d, "sigma": sigma, "epsilon": epsilon, "n_grid": n_grid,
-              "n_out": n_out, "seeds": seeds, "method": spec.label(), "kind": kind}
+              "n_out": n_out, "seeds": seeds, "method": spec.label(), "kind": kind,
+              "alpha": alpha}
     # the mean of the success flags is the fraction of seeds with perfect retention
     return _sweep("separation", "n", n_grid, seeds, jobs, job, ("retention", "success"), params)
 

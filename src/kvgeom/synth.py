@@ -4,6 +4,8 @@ Each generator plants ground-truth "needle" tokens inside a synthetic key
 cloud and records their positions. Randomness comes from numpy's Philox
 counter-based bit generator keyed by the scenario seed, so regenerating with
 the same parameters and seed is bit-identical within one numpy version.
+A scenario's params are its generator's arguments, as the generator
+validated them, plus the values the generator names as derived from them.
 Needle positions are drawn uniformly at random but never land on the first
 or last token, keeping them clear of the top-k tie-break rule.
 """
@@ -20,7 +22,6 @@ from .errors import ValidationError, check_memory, json_value, parse_file
 from .report import write_json
 from .tensor import ROW_CHUNK, KeyTensor, freeze
 
-SCENARIO_KINDS = ("subspace", "radial", "clusters", "collision")
 QUERY_MODES = ("random", "needle_probing")
 
 
@@ -130,12 +131,13 @@ def _with_needles(commons: np.ndarray, positions, rows) -> np.ndarray:
     return keys
 
 
-def _as_scenario(kind: str, keys: KeyTensor, needles, params: dict) -> Scenario:
+def _as_scenario(kind: str, keys: KeyTensor, needles, args: dict, **derived) -> Scenario:
+    """The scenario whose params are the generator's `args` and its `derived` values."""
     return Scenario(
         kind=kind,
         keys=keys,
         needles=tuple(int(i) for i in sorted(needles)),
-        params=params,
+        params={**args, **derived},
     )
 
 
@@ -160,6 +162,7 @@ def gen_subspace_scenario(
     epsilon > 3 * diam(common cloud), the regime in which every needle must
     outscore every common token under centroid-L2 scoring.
     """
+    args = dict(locals())
     if not 1 <= k < d:
         raise ValidationError(f"need 1 <= k < d, got k={k}, d={d}")
     if n < 2:
@@ -193,20 +196,8 @@ def gen_subspace_scenario(
     needles = _needle_positions(rng, n_out, n)
     keys = _with_needles(common, needles, inplane + epsilon * offsets)
 
-    params = {
-        "n": n,
-        "d": d,
-        "k": k,
-        "sigma": sigma,
-        "n_out": n_out,
-        "epsilon": epsilon,
-        "seed": seed,
-        "strict_separation": strict_separation,
-        "center_scale": center_scale,
-        "separation_scale": applied_scale,
-        "basis": basis.tolist(),
-    }
-    return _as_scenario("subspace", _as_tensor(keys), needles, params)
+    return _as_scenario("subspace", _as_tensor(keys), needles, args,
+                        separation_scale=applied_scale, basis=basis.tolist())
 
 
 def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) -> Scenario:
@@ -217,6 +208,7 @@ def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) 
     token, extreme magnitude. Direction-only scorers rank it as maximally
     typical while centroid-L2 ranks it as the top outlier.
     """
+    args = dict(locals())
     if alpha <= 1.0:
         raise ValidationError(f"alpha must be > 1, got {alpha}")
     if n < 3:
@@ -232,8 +224,7 @@ def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) 
     jitter = _balanced_units(rng, n - 1, d, axis)
     pos = int(rng.integers(1, n - 1))
     keys = _with_needles(axis + epsilon * jitter, [pos], [alpha * axis])
-    params = {"alpha": alpha, "epsilon": epsilon, "n": n, "d": d, "seed": seed}
-    return _as_scenario("radial", _as_tensor(keys), [pos], params)
+    return _as_scenario("radial", _as_tensor(keys), [pos], args)
 
 
 def gen_cluster_mixture(
@@ -259,6 +250,7 @@ def gen_cluster_mixture(
     time into one float64 buffer and cast into place: one Philox stream, the
     bits of casting the whole (n, d) float64 matrix.
     """
+    args = dict(locals())
     if k_clusters < 1:
         raise ValidationError(f"k_clusters must be >= 1, got {k_clusters}")
     if k_clusters > d:
@@ -303,18 +295,9 @@ def gen_cluster_mixture(
         inverse[perm] = np.arange(n)
         needles = [int(inverse[p]) for p in needles]
 
-    params = {
-        "n": n,
-        "d": d,
-        "k_clusters": k_clusters,
-        "spread": spread,
-        "separation": separation,
-        "seed": seed,
-        "shuffle": shuffle,
-        "block_bounds": [[lo, hi] for lo, hi in bounds],
-        "cluster_means": means.tolist(),
-    }
-    return _as_scenario("clusters", KeyTensor(freeze(out)), needles, params)
+    return _as_scenario("clusters", KeyTensor(freeze(out)), needles, args,
+                        block_bounds=[[lo, hi] for lo, hi in bounds],
+                        cluster_means=means.tolist())
 
 
 def gen_collision_scenario(
@@ -327,12 +310,13 @@ def gen_collision_scenario(
     m. All needles are indistinguishable (and maximally typical) to
     direction-only scorers, while centroid-L2 separates them by magnitude.
     """
-    mags = [float(m) for m in magnitudes]
-    if not mags:
+    magnitudes = [float(m) for m in magnitudes]
+    args = dict(locals())
+    if not magnitudes:
         raise ValidationError("magnitudes must be non-empty")
-    if any(m <= 1.0 for m in mags):
-        raise ValidationError(f"all magnitudes must be > 1, got {mags}")
-    if n <= len(mags) + 2:
+    if any(m <= 1.0 for m in magnitudes):
+        raise ValidationError(f"all magnitudes must be > 1, got {magnitudes}")
+    if n <= len(magnitudes) + 2:
         raise ValidationError(f"n must exceed len(magnitudes) + 2, got n={n}")
     if d < 2:
         raise ValidationError(f"d must be >= 2, got {d}")
@@ -341,21 +325,14 @@ def gen_collision_scenario(
     _check_size(n, d)
     rng = _rng(seed)
     direction = _unit(rng.normal(size=d))
-    n_common = n - len(mags)
+    n_common = n - len(magnitudes)
     jitter = _balanced_units(rng, n_common, d, direction)
     commons = (direction + epsilon * jitter) / np.sqrt(1.0 + epsilon**2)
-    positions = _needle_positions(rng, len(mags), n)
-    keys = _with_needles(commons, positions, [m * direction for m in mags])
-    params = {
-        "magnitudes": mags,
-        "epsilon": epsilon,
-        "n": n,
-        "d": d,
-        "seed": seed,
-        "direction": direction.tolist(),
-        "needle_positions": [int(p) for p in positions],
-    }
-    return _as_scenario("collision", _as_tensor(keys), positions, params)
+    positions = _needle_positions(rng, len(magnitudes), n)
+    keys = _with_needles(commons, positions, [m * direction for m in magnitudes])
+    return _as_scenario("collision", _as_tensor(keys), positions, args,
+                        direction=direction.tolist(),
+                        needle_positions=[int(p) for p in positions])
 
 
 def gen_queries(scenario: Scenario, n_queries: int, mode: str, seed: int) -> KeyTensor:
@@ -386,6 +363,7 @@ def gen_queries(scenario: Scenario, n_queries: int, mode: str, seed: int) -> Key
 
 _GENERATORS = {"subspace": gen_subspace_scenario, "radial": gen_radial_failure,
                "clusters": gen_cluster_mixture, "collision": gen_collision_scenario}
+SCENARIO_KINDS = tuple(_GENERATORS)
 
 
 def regenerate(kind: str, params: dict) -> Scenario:

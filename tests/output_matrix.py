@@ -89,6 +89,8 @@ CASES = {
     "gen-subspace-k-9": [*GEN, "--kind", "subspace"],
     "gen-clusters-shuffle": [*GEN, "--kind", "clusters", "--shuffle"],
     "gen-from-sidecar": [*GEN, "--from-sidecar", "gen-clusters/m.json"],
+    **{f"gen-from-sidecar-{kind}": [*GEN, "--from-sidecar", f"gen-{kind}/m.json"]
+       for kind in ("subspace", "radial", "collision")},
     **{f"score-{m}": [*SCORE, "--method", m, *METHOD_FLAGS.get(m, [])] for m in METHODS},
     "score-out-kvt": [*SCORE, "--method", "manifold", "--out-kvt", "{out}/s.kvt"],
     "score-windowed-missing-window": [*SCORE, "--method", "windowed"],
@@ -142,6 +144,8 @@ CASES = {
     "collision-demo-config-rho-2": ["collision-demo", "--n", "64", "--config", "in/rho.json"],
     "collision-demo-config-rho-overridden": ["collision-demo", "--n", "64", "--config",
                                              "in/rho.json", "--rho", "0.5"],
+    # a config file's keys are the command's options, and --config is none of them
+    "collision-demo-config-nested-config": ["collision-demo", "--config", "in/nested.json"],
     "dilution-no-seeds": [*DILUTION, "--seeds", ",", "--out", "{out}/d.csv"],
     "separation-jobs-0": [*SEPARATION, "--jobs", "0"],
     "ablation-k-clusters-0": ["ablation", "--k-clusters", "0", "--out", "{out}/a.csv"],
@@ -224,6 +228,7 @@ def _write_inputs(root: Path) -> None:
     (inputs / "two-columns.csv").write_text("x,y\n1.0,2.0\n3.0,4.0\n")
     radial = {"alpha": 100.0, "epsilon": 0.1, "n": 64, "d": 8, "seed": 0}
     files = {"lambda": {"lambda": 0.3}, "window": {"window": "x"}, "rho": {"rho": 2},
+             "nested": {"config": "nowhere.json", "n": 64},
              "root-list": [1], "unknown-key": {"bogus": 1},
              "sidecar-root-list": [], "sidecar-missing-needles": {"kind": "radial", "params": {}},
              "sidecar-params-list": {"kind": "radial", "params": [64], "needles": [1]},

@@ -227,6 +227,15 @@ class TestValidationFailures:
         assert code == 2
         assert "wibble" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_key_config_is_unknown(self, capsys, tmp_path, command):
+        # --config names the file; a config file naming another is refused, not ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": "nowhere.json"}))
+        code, _, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert json.loads(err)["message"] == f"unknown config key(s) for {command}: config"
+
     def test_missing_input_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "score", "--input", str(tmp_path / "missing.kvt"),
@@ -705,7 +714,7 @@ class TestSweepCommands:
         config = parse_config([command, "--out", os.devnull])
         with pytest.raises(Passed) as passed:
             cli.run(config)
-        expected = set(config.options) - {"config", "out", "format"}
+        expected = set(config.options) - {"out", "format"}
         if "method" in expected:  # the scorer flags become one spec
             expected -= {"method", *(o.key for o in cli._scorer_options())}
             expected.add("spec")

@@ -127,6 +127,14 @@ class TestSeparationTest:
         with pytest.raises(ValidationError, match="at least one seed"):
             separation_test(k=2, d=8, sigma=1.0, epsilon=1.0, n_grid=[32], n_out=2, seeds=[])
 
+    def test_alpha_is_in_the_provenance(self):
+        # two alphas generate two radial scenarios, so the reports' metadata must differ
+        kwargs = dict(k=2, d=16, sigma=1.0, epsilon=1.0, n_grid=[64, 128], n_out=2,
+                      seeds=[0, 1], kind="radial")
+        reports = [separation_test(**kwargs, alpha=alpha) for alpha in (50.0, 100.0)]
+        assert [r.metadata["alpha"] for r in reports] == [50.0, 100.0]
+        assert reports[0].metadata["config_hash"] != reports[1].metadata["config_hash"]
+
 
 class TestMapJobs:
     """Sweep jobs on `jobs` workers of 8 usable CPUs, so each job count starts its threads."""

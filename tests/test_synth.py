@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from kvgeom import (
+    SCENARIO_KINDS,
     KeyTensor,
     Scenario,
     ValidationError,
@@ -366,7 +368,40 @@ class TestQueries:
             gen_queries(scenario, 4, "bogus", seed=0)
 
 
+# kind -> (generator arguments, the values its params add to them)
+GENERATOR_CALLS = {
+    "subspace": (dict(n=64, d=16, k=3, sigma=1.0, n_out=4, epsilon=8.0, seed=5,
+                      strict_separation=True, center_scale=4.0),
+                 {"separation_scale", "basis"}),
+    "radial": (dict(alpha=100.0, epsilon=0.1, n=64, d=8, seed=5), set()),
+    "clusters": (dict(n=128, d=16, k_clusters=4, spread=1.0, separation=10.0, seed=5),
+                 {"block_bounds", "cluster_means"}),
+    "collision": (dict(magnitudes=(2, 5.0, 10), epsilon=0.1, n=64, d=8, seed=5),
+                  {"direction", "needle_positions"}),
+}
+
+
 class TestSidecar:
+    def test_kinds_are_the_generator_table(self):
+        assert SCENARIO_KINDS == tuple(synth._GENERATORS) == tuple(GENERATOR_CALLS)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_params_are_the_arguments_and_the_derived_values(self, kind):
+        fn = synth._GENERATORS[kind]
+        args, derived = GENERATOR_CALLS[kind]
+        scenario = fn(**args)
+        call = inspect.signature(fn).bind(**args)
+        call.apply_defaults()  # a defaulted argument is echoed too
+        expected = dict(call.arguments)
+        if kind == "collision":  # magnitudes as the list of floats regenerate types
+            expected["magnitudes"] = [2.0, 5.0, 10.0]
+            assert all(type(m) is float for m in scenario.params["magnitudes"])
+        assert scenario.params.keys() == expected.keys() | derived
+        assert {a: scenario.params[a] for a in expected} == expected
+        again = regenerate(kind, scenario.params)
+        assert again.keys == scenario.keys and again.needles == scenario.needles
+        assert again.params == scenario.params
+
     def test_round_trip_every_kind(self, tmp_path):
         for i, scenario in enumerate(make_each_kind(9)):
             path = tmp_path / f"s{i}.json"
