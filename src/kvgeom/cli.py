@@ -13,7 +13,8 @@ required checks and the range checks all come from those rows, and a config
 file's keys are exactly those rows (--config is the parser's own flag). Two
 rules hand the options on: an option's config key is the library parameter
 it sets (a sweep is passed each option whose key names one of its
-parameters), and a report's metadata is its options but --out and --format.
+parameters), and a report prints what reached its rows: its options but --out
+and --format, or (score, compare, sweeps) the inputs, labels and arguments used.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .experiments import (
     window_ablation,
 )
 from .manifold import estimate_dimensions
-from .report import Columns, Report, config_hash, write_json
+from .report import Columns, Report, write_json
 from .scorers import METHOD_TABLE, METHODS, ScorerSpec, compute_scores
 from .synth import (
     SCENARIO_KINDS,
@@ -278,25 +279,24 @@ def _load_queries(opts, methods) -> KeyTensor | None:
 
 
 def _write_report(opts, name: str, columns: list, rows) -> None:
-    """Write `rows` to --out in --format, with the command's options but
-    --out and --format, and their config hash, as metadata."""
-    params = {k: v for k, v in opts.items() if k not in ("out", "format")}
-    report = Report(name, columns, rows, {**params, "config_hash": config_hash(params)})
-    report.write(opts["out"], opts["format"])
+    """Write `rows` to --out in --format, with the options but --out and --format as metadata."""
+    metadata = {k: v for k, v in opts.items() if k not in ("out", "format")}
+    Report(name, columns, rows, metadata).write(opts["out"], opts["format"])
 
 
 def _cmd_score(opts) -> int:
     keys = load_kvt(opts["input"])
     spec = _scorer_spec(opts)
-    scores = compute_scores(spec, keys, queries=_load_queries(opts, [spec.method]))
+    queries = _load_queries(opts, [spec.method])
+    scores = compute_scores(spec, keys, queries=queries)
     batch, head, token = np.indices(scores.data.shape).reshape(3, -1)
     rows = Columns(batch=batch, head=head, token=token, score=scores.data.ravel())
-    params = {"input": opts["input"], "scorer": spec.to_dict()}
     report = Report(
         name="score",
         columns=["batch", "head", "token", "score"],
         rows=rows,
-        metadata={"method": spec.label(), "config_hash": config_hash(params)},
+        metadata={"input": opts["input"], "method": spec.label(),
+                  **({} if queries is None else {"queries": opts["queries"]})},
     )
     # built, and checked against the float32 range, before any output is written
     score_kvt = scores.to_key_tensor() if opts.get("out_kvt") else None
@@ -442,11 +442,10 @@ def _cmd_compare(opts) -> int:
         keys = load_kvt(opts["input"])
         scenario = Scenario(kind="file", keys=keys, needles=(),
                             params={"seed": 0, "path": str(opts["input"])})
-    specs = []
-    for method in opts["methods"]:
-        specs.append(_scorer_spec({**opts, "method": method}))
+    specs = [_scorer_spec({**opts, "method": method}) for method in opts["methods"]]
     queries = _load_queries(opts, opts["methods"])
     report = compare_methods(scenario, specs, opts["rho"], queries=queries)
+    report.metadata.update({} if queries is None else {"queries": opts["queries"]})
     report.write(opts["out"], opts["format"])
     print(f"compare: wrote {opts['out']} ({len(report.rows)} rows)")
     return 0

@@ -17,9 +17,9 @@ import numpy as np
 from .attention import pearson, selection_overlap, spearman
 from .errors import ValidationError
 from .eviction import budget, retention_from_scores
-from .report import Report, config_hash
+from .report import Report
 from .scorers import ScorerSpec, compute_scores
-from .synth import Scenario, gen_cluster_mixture, gen_queries, gen_radial_failure, gen_subspace_scenario
+from .synth import Scenario, gen_cluster_mixture, gen_queries, regenerate
 from .tensor import KeyTensor, _each_slab
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -98,16 +98,21 @@ def _map_jobs(jobs: int, fn, args_list):
 def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> Report:
     """Run `job(point, seed)` for every grid point and seed and group the rows.
 
-    Each grid point's run rows are followed by its mean row: the `means`
-    columns averaged over seeds and the `carried` columns of the first run.
-    The report's columns are row, `column`, `carried`, seed, `means`.
+    Each job returns its run row and its scenario's `source`. Each grid
+    point's run rows are followed by its mean row: the `means` columns
+    averaged over seeds and the `carried` columns of the first run. The
+    report's columns are row, `column`, `carried`, seed, `means`; its metadata
+    is what reached its rows: the first job's scenario source but `column` and
+    seed, then `params` (the grid, budget and scorer setting) and the seeds.
     """
+    seeds = [int(s) for s in seeds]
     if not seeds:  # a grid point's mean row needs at least one run
         raise ValidationError("seeds must list at least one seed")
     for i, point in enumerate(grid):  # a repeated point's groups would share rows
         if point in grid[:i]:
             raise ValidationError(f"{column} grid lists {point} twice")
-    rows = _map_jobs(jobs, job, [(point, seed) for point in grid for seed in seeds])
+    rows, sources = zip(*_map_jobs(jobs, job, [(point, seed) for point in grid for seed in seeds]))
+    source = {k: v for k, v in sources[0].items() if k not in (column, "seed")}
     out = []
     for i, point in enumerate(grid):
         chunk = rows[i * len(seeds) : (i + 1) * len(seeds)]
@@ -116,7 +121,7 @@ def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> R
                     **{c: chunk[0][c] for c in carried},
                     **{c: float(np.mean([r[c] for r in chunk])) for c in means}})
     return Report(name=name, columns=["row", column, *carried, "seed", *means], rows=out,
-                  metadata={**params, "config_hash": config_hash(params)}, group_by=column)
+                  metadata={**source, **params, "seeds": seeds}, group_by=column)
 
 
 def separation_test(
@@ -140,7 +145,6 @@ def separation_test(
     """
     spec = spec or ScorerSpec("manifold")
     n_grid = [int(n) for n in n_grid]
-    seeds = [int(s) for s in seeds]
     if not n_grid:
         raise ValidationError("n_grid must be non-empty")
     if kind not in ("subspace", "radial"):
@@ -153,21 +157,16 @@ def separation_test(
         if n <= n_out:
             raise ValidationError(f"grid n={n} must exceed n_out={n_out}")
 
-    def job(n: int, seed: int) -> dict:
-        if kind == "subspace":
-            scenario = gen_subspace_scenario(
-                n=n, d=d, k=k, sigma=sigma, n_out=n_out, epsilon=epsilon,
-                seed=seed, strict_separation=True,
-            )
-        else:
-            scenario = gen_radial_failure(alpha=alpha, epsilon=epsilon, n=n, d=d, seed=seed)
-        rate = retention_rate(_score_and_keep(scenario, spec, n_out)[1], scenario.needles)
-        return {"row": "run", "n": n, "seed": seed, "retention": rate,
-                "success": rate == 1.0}
+    args = {"k": k, "d": d, "sigma": sigma, "n_out": n_out, "epsilon": epsilon, "alpha": alpha,
+            "strict_separation": True, "center_scale": 10.0}  # each kind's generator reads its own
 
-    params = {"k": k, "d": d, "sigma": sigma, "epsilon": epsilon, "n_grid": n_grid,
-              "n_out": n_out, "seeds": seeds, "method": spec.label(), "kind": kind,
-              "alpha": alpha}
+    def job(n: int, seed: int) -> tuple:
+        scenario = regenerate(kind, {**args, "n": n, "seed": seed})
+        rate = retention_rate(_score_and_keep(scenario, spec, n_out)[1], scenario.needles)
+        return ({"row": "run", "n": n, "seed": seed, "retention": rate,
+                 "success": rate == 1.0}, scenario.source)
+
+    params = {"n_grid": n_grid, "n_out": n_out, "method": spec.label()}
     # the mean of the success flags is the fraction of seeds with perfect retention
     return _sweep("separation", "n", n_grid, seeds, jobs, job, ("retention", "success"), params)
 
@@ -190,11 +189,10 @@ def dilution_sweep(
     dilution signature grows with K.
     """
     k_grid = [int(k) for k in k_grid]
-    seeds = [int(s) for s in seeds]
     if not k_grid or any(k < 1 for k in k_grid):
         raise ValidationError("k_grid must be non-empty positive cluster counts")
 
-    def job(k_clusters: int, seed: int) -> dict:
+    def job(k_clusters: int, seed: int) -> tuple:
         w = window if window is not None else max(1, n // k_clusters)
         scenario = gen_cluster_mixture(
             n=n, d=d, k_clusters=k_clusters, spread=spread,
@@ -203,12 +201,11 @@ def dilution_sweep(
         g = run_retention(scenario, ScorerSpec("manifold"), rho).retention_rate
         wr = run_retention(scenario, ScorerSpec("windowed", w), rho).retention_rate
         kd = run_retention(scenario, ScorerSpec("keydiff"), rho).retention_rate
-        return {"row": "run", "k_clusters": k_clusters, "window": w, "seed": seed,
-                "global_retention": g, "windowed_retention": wr,
-                "keydiff_retention": kd, "gap": wr - g}
+        return ({"row": "run", "k_clusters": k_clusters, "window": w, "seed": seed,
+                 "global_retention": g, "windowed_retention": wr,
+                 "keydiff_retention": kd, "gap": wr - g}, scenario.source)
 
-    params = {"k_grid": k_grid, "n": n, "d": d, "rho": rho, "window": window,
-              "seeds": seeds, "spread": spread, "separation": separation}
+    params = {"k_grid": k_grid, "rho": rho, "window": window}
     means = ("global_retention", "windowed_retention", "keydiff_retention", "gap")
     return _sweep("dilution", "k_clusters", k_grid, seeds, jobs, job, means, params,
                   carried=("window",))
@@ -239,22 +236,20 @@ def window_ablation(
         extent = max(1, n // k_clusters)
         w_grid = sorted({max(1, extent // 2), extent, 2 * extent, 4 * extent, n})
     w_grid = [int(w) for w in w_grid]
-    seeds = [int(s) for s in seeds]
     if not w_grid or any(w < 1 for w in w_grid):
         raise ValidationError("w_grid must be non-empty positive window sizes")
 
-    def job(w: int, seed: int) -> dict:
+    def job(w: int, seed: int) -> tuple:
         scenario = gen_cluster_mixture(
             n=n, d=d, k_clusters=k_clusters, spread=spread,
             separation=separation, seed=seed,
         )
         wr = run_retention(scenario, ScorerSpec("windowed", w), rho).retention_rate
         g = run_retention(scenario, ScorerSpec("manifold"), rho).retention_rate
-        return {"row": "run", "window": w, "seed": seed,
-                "windowed_retention": wr, "global_retention": g}
+        return ({"row": "run", "window": w, "seed": seed,
+                 "windowed_retention": wr, "global_retention": g}, scenario.source)
 
-    params = {"w_grid": w_grid, "n": n, "d": d, "k_clusters": k_clusters, "rho": rho,
-              "seeds": seeds, "spread": spread, "separation": separation}
+    params = {"w_grid": w_grid, "rho": rho}
     means = ("windowed_retention", "global_retention")
     report = _sweep("ablation", "window", w_grid, seeds, jobs, job, means, params)
     mean_of = {r["window"]: r["windowed_retention"] for r in report.rows if r["row"] == "mean"}
@@ -305,9 +300,7 @@ def compare_methods(
     if len(specs) < 2:
         raise ValidationError("need at least 2 scorer specs to compare")
     m = budget(scenario.seq_len, rho)
-    scored = []
-    for spec in specs:
-        scored.append((spec.label(), *_score_and_keep(scenario, spec, m, queries)))
+    scored = [(spec.label(), *_score_and_keep(scenario, spec, m, queries)) for spec in specs]
 
     rows = []
     for i in range(len(scored)):
@@ -326,12 +319,9 @@ def compare_methods(
                 "row": "retention", "method_a": label, "method_b": "",
                 "retention": retention_rate(retained, scenario.needles),
             })
-    params = {"kind": scenario.kind, "scenario": scenario.params,
-              "methods": [s.label() for s in specs], "rho": rho}
     return Report(
         name="compare",
         columns=["row", "method_a", "method_b", "pearson", "spearman", "overlap", "retention"],
         rows=rows,
-        metadata={"config_hash": config_hash(params), "rho": rho,
-                  "kind": scenario.kind, "methods": ",".join(s.label() for s in specs)},
+        metadata={**scenario.source, "methods": ",".join(s.label() for s in specs), "rho": rho},
     )

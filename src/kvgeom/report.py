@@ -1,8 +1,8 @@
 """Tabular experiment reports with deterministic CSV/JSON emission.
 
-CSV files start with ``# key=value`` provenance comment lines (tool version,
-config hash, seed list -- never a timestamp) so identical configs produce
-byte-identical files.
+A report prints the tool version, its metadata (what reached its rows, never
+a timestamp) and the config hash of exactly that metadata, as ``# key=value``
+lines atop a CSV file, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -115,11 +115,14 @@ class Report:
             return self.rows.data.get(name, [""] * len(self.rows))
         return [row.get(name, "") for row in self.rows]
 
+    def _printed_metadata(self) -> dict:
+        return {**self.metadata, "config_hash": config_hash(self.metadata)}
+
     def _csv_blocks(self):
         """The CSV text in pieces: the header lines, then CSV_BLOCK_ROWS rows at a time."""
         lines = [f"# tool_version={TOOL_VERSION}"]
-        for key in sorted(self.metadata):
-            lines.append(f"# {key}={_format_cell(self.metadata[key])}")
+        for key, value in sorted(self._printed_metadata().items()):
+            lines.append(f"# {key}={_format_cell(value)}")
         lines.append(",".join(self.columns))
         yield "\n".join(lines) + "\n"
         columns = [_format_column(self._column(c), CSV_BLOCK_ROWS) for c in self.columns]
@@ -134,7 +137,7 @@ class Report:
     def to_json_text(self) -> str:
         obj = {
             "name": self.name,
-            "metadata": {"tool_version": TOOL_VERSION, **self.metadata},
+            "metadata": {"tool_version": TOOL_VERSION, **self._printed_metadata()},
             "columns": self.columns,
         }
         if self.group_by is None:

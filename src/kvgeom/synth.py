@@ -33,10 +33,17 @@ class Scenario:
     keys: KeyTensor
     needles: tuple
     params: dict
+    derived: tuple = ()  # the keys of the params its generator derived
 
     @property
     def seq_len(self) -> int:
         return self.keys.seq_len
+
+    @property
+    def source(self) -> dict:
+        """Its kind and its params but the derived values."""
+        args = {k: v for k, v in self.params.items() if k not in self.derived}
+        return {"kind": self.kind, **args}
 
     def sidecar_obj(self) -> dict:
         return {"kind": self.kind, "params": self.params, "needles": list(self.needles)}
@@ -138,6 +145,7 @@ def _as_scenario(kind: str, keys: KeyTensor, needles, args: dict, **derived) -> 
         keys=keys,
         needles=tuple(int(i) for i in sorted(needles)),
         params={**args, **derived},
+        derived=tuple(derived),
     )
 
 

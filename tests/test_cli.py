@@ -985,6 +985,53 @@ class TestCsvDeterminism:
         assert a.read_text().startswith("# tool_version=")
 
 
+SEPARATION_SMALL = ["separation", "--n-grid", "64,128", "--d", "16", "--n-out", "2",
+                    "--seeds", "0,1"]
+
+
+def _printed_hash(path) -> str:
+    lines = Path(path).read_text().splitlines()
+    return next(ln.split("=", 1)[1] for ln in lines if ln.startswith("# config_hash="))
+
+
+class TestReportProvenance:
+    """A report's metadata and config hash change with what reaches its rows,
+    and with nothing else."""
+
+    @pytest.mark.parametrize("kind, option, values", [
+        # the radial construction reads neither --k nor --sigma and plants one needle
+        ("radial", "--k", ("2", "3")),
+        ("radial", "--sigma", ("1.0", "2.0")),
+        ("radial", "--n-out", ("2", "3")),
+        ("subspace", "--alpha", ("50", "100")),
+    ])
+    def test_an_option_no_scenario_reads_leaves_the_report(self, capsys, tmp_path, kind,
+                                                           option, values):
+        reports = []
+        for i, value in enumerate(values):
+            out = tmp_path / f"{i}.csv"
+            argv = [*SEPARATION_SMALL, "--kind", kind, option, value, "--out", str(out)]
+            assert run_cli(capsys, *argv)[0] == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--method", "obs_attention"],
+        ["compare", "--methods", "manifold,obs_attention"],
+    ])
+    def test_each_queries_file_has_its_own_hash(self, capsys, keys_file, tmp_path, argv):
+        hashes = []
+        for seed in (1, 2):
+            queries, out = tmp_path / f"q{seed}.kvt", tmp_path / f"r{seed}.csv"
+            save_kvt(random_tensor(seed, batch=1, heads=2, seq=4, dim=4), queries)
+            code, _, err = run_cli(capsys, *argv, "--obs-window", "2", "--input", str(keys_file),
+                                   "--queries", str(queries), "--out", str(out))
+            assert code == 0, err
+            assert f"# queries={queries}" in out.read_text().splitlines()
+            hashes.append(_printed_hash(out))
+        assert hashes[0] != hashes[1]
+
+
 # Numbers stay within |x| <= 64 and text never spells a larger one, so no
 # drawn config or sidecar can ask for a large allocation.
 SMALL_NUMBERS = st.integers(-64, 64) | st.floats(-64, 64) | st.sampled_from(

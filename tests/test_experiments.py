@@ -11,6 +11,7 @@ from kvgeom import (
     ValidationError,
     budget,
     compare_methods,
+    config_hash,
     dilution_sweep,
     gen_collision_scenario,
     gen_radial_failure,
@@ -133,7 +134,37 @@ class TestSeparationTest:
                       seeds=[0, 1], kind="radial")
         reports = [separation_test(**kwargs, alpha=alpha) for alpha in (50.0, 100.0)]
         assert [r.metadata["alpha"] for r in reports] == [50.0, 100.0]
-        assert reports[0].metadata["config_hash"] != reports[1].metadata["config_hash"]
+        assert config_hash(reports[0].metadata) != config_hash(reports[1].metadata)
+
+
+# sweep -> (its arguments, another value for each argument that reaches its scenarios)
+SWEEP_CALLS = {
+    "dilution": (dilution_sweep,
+                 dict(k_grid=[1, 2], n=64, d=8, rho=0.25, seeds=[0, 1]),
+                 dict(k_grid=[1, 4], n=128, d=16, spread=2.0, separation=5.0, seeds=[0, 2])),
+    "ablation": (window_ablation,
+                 dict(w_grid=[8, 64], n=64, d=8, k_clusters=2, rho=0.25, seeds=[0, 1]),
+                 dict(n=128, d=16, k_clusters=4, spread=2.0, separation=5.0, seeds=[0, 2])),
+    "separation-subspace": (separation_test,
+                            dict(k=2, d=8, sigma=1.0, epsilon=1.0, n_grid=[32, 64], n_out=2,
+                                 seeds=[0, 1]),
+                            dict(k=3, d=16, sigma=2.0, epsilon=2.0, n_grid=[32, 48], n_out=3,
+                                 seeds=[0, 2])),
+    "separation-radial": (separation_test,
+                          dict(k=2, d=8, sigma=1.0, epsilon=1.0, n_grid=[32, 64], n_out=1,
+                               seeds=[0, 1], kind="radial", alpha=50.0),
+                          dict(d=16, epsilon=0.5, n_grid=[32, 48], seeds=[0, 2], alpha=100.0)),
+}
+
+
+class TestSweepProvenance:
+    @pytest.mark.parametrize("name", SWEEP_CALLS)
+    def test_each_argument_reaching_the_scenarios_changes_the_hash(self, name):
+        sweep, base, changes = SWEEP_CALLS[name]
+        first = config_hash(sweep(**base).metadata)
+        assert config_hash(sweep(**base).metadata) == first
+        for arg, value in changes.items():
+            assert config_hash(sweep(**{**base, arg: value}).metadata) != first, arg
 
 
 class TestMapJobs:

@@ -27,7 +27,14 @@ from kvgeom import (
     windowed_manifold_score,
 )
 from kvgeom.experiments import _count_needle_hits
-from kvgeom.report import CSV_BLOCK_ROWS, TOOL_VERSION, Columns, _format_cell, _format_column
+from kvgeom.report import (
+    CSV_BLOCK_ROWS,
+    TOOL_VERSION,
+    Columns,
+    _format_cell,
+    _format_column,
+    config_hash,
+)
 from kvgeom import scorers
 from kvgeom.scorers import NORM_EPS, ROW_CHUNK
 
@@ -100,10 +107,12 @@ def columns(n: int):
 
 
 def _reference_csv(report: Report, rows: list) -> str:
-    # the per-cell emission: one dict per row, _format_cell on every cell
+    # the per-cell emission: one dict per row, _format_cell on every cell; the
+    # header prints the metadata and the config hash of exactly that metadata
     lines = [f"# tool_version={TOOL_VERSION}"]
-    for key in sorted(report.metadata):
-        lines.append(f"# {key}={_format_cell(report.metadata[key])}")
+    metadata = {**report.metadata, "config_hash": config_hash(report.metadata)}
+    for key in sorted(metadata):
+        lines.append(f"# {key}={_format_cell(metadata[key])}")
     lines.append(",".join(report.columns))
     for row in rows:
         lines.append(",".join(_format_cell(row.get(c, "")) for c in report.columns))

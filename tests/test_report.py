@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
-from kvgeom import Report, config_hash
+from kvgeom import Report, config_hash, window_ablation
+from kvgeom.report import TOOL_VERSION, _format_cell
 
 
 def make_report(group=None):
@@ -16,7 +18,7 @@ def make_report(group=None):
             {"row": "run", "n": 4, "seed": 0, "value": 1.0},
             {"row": "mean", "n": 4, "seed": "", "value": 1.0},
         ],
-        metadata={"config_hash": "abc", "seeds": [0, 1]},
+        metadata={"seeds": [0, 1]},
         group_by=group,
     )
 
@@ -26,7 +28,8 @@ class TestCsv:
         text = make_report().to_csv_text()
         lines = text.splitlines()
         assert lines[0] == "# tool_version=0.1.0"
-        assert "# config_hash=abc" in lines
+        assert f"# config_hash={config_hash({'seeds': [0, 1]})}" in lines
+        assert "# seeds=[0, 1]" in lines
         header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
         assert lines[header_idx] == "row,n,seed,value"
         assert lines[header_idx + 1] == "run,2,0,0.5"
@@ -59,6 +62,27 @@ class TestJson:
         assert [g["key"] for g in obj["groups"]] == [2, 4]
         assert len(obj["groups"][0]["rows"]) == 3
         assert len(obj["groups"][1]["rows"]) == 2
+
+
+def ablation_report():
+    # best_window, set after the sweep, is a function of the rest of the metadata
+    return window_ablation(w_grid=[8, 64], n=64, d=8, k_clusters=2, rho=0.25, seeds=[0, 1])
+
+
+class TestPrintedHash:
+    """A report prints the config hash of exactly the other metadata it prints."""
+
+    @pytest.mark.parametrize("report", [make_report, ablation_report])
+    def test_csv_and_json_print_the_hash_of_their_metadata(self, report):
+        report = report()
+        printed = json.loads(report.to_json_text())["metadata"]
+        assert printed.pop("tool_version") == TOOL_VERSION
+        assert printed.pop("config_hash") == config_hash(printed)
+        assert printed == json.loads(json.dumps(report.metadata))
+        header = [ln for ln in report.to_csv_text().splitlines() if ln.startswith("#")]
+        printed["config_hash"] = config_hash(printed)
+        assert header == [f"# tool_version={TOOL_VERSION}",
+                          *(f"# {k}={_format_cell(printed[k])}" for k in sorted(printed))]
 
 
 class TestConfigHash:

@@ -398,6 +398,7 @@ class TestSidecar:
             assert all(type(m) is float for m in scenario.params["magnitudes"])
         assert scenario.params.keys() == expected.keys() | derived
         assert {a: scenario.params[a] for a in expected} == expected
+        assert scenario.source == {"kind": kind, **expected}  # what reports print
         again = regenerate(kind, scenario.params)
         assert again.keys == scenario.keys and again.needles == scenario.needles
         assert again.params == scenario.params
