@@ -43,11 +43,13 @@ def attention_weights(queries: KeyTensor, keys: KeyTensor) -> np.ndarray:
     check_memory(8 * math.prod(shape), f"a {shape} float64 attention weight tensor")
     out = np.empty(shape)
 
-    def slab(bi, hi, k):
+    def slab(bi, hi, k):  # softmax_rows's operations, in place in the slab's block of out
         np.copyto(k, keys.data[bi, hi])
-        logits = queries.matrix(bi, hi) @ k.T
-        logits /= np.sqrt(k.shape[1])
-        out[bi, hi] = softmax_rows(logits)
+        w = np.matmul(queries.matrix(bi, hi), k.T, out=out[bi, hi])
+        w /= np.sqrt(k.shape[1])
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
 
     _each_slab(keys.shape[:2], slab, lambda: np.empty(keys.shape[2:]))
     return out

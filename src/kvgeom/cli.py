@@ -20,7 +20,6 @@ and --format, or (score, compare, sweeps) the inputs, labels and arguments used.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import csv
 import inspect
 import io
@@ -28,7 +27,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
@@ -60,7 +58,7 @@ from .synth import (
     regenerate,
     save_sidecar,
 )
-from .tensor import KeyTensor, load_kvt, save_kvt
+from .tensor import KeyTensor, load_kvt, one_blas_thread, save_kvt
 
 
 @dataclass
@@ -640,36 +638,18 @@ def _emit_error(code: int, exc: BaseException) -> int:
     return code
 
 
-def _blas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    here = Path(np.__file__).parent
-    for path in [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]:
-        lib = ctypes.CDLL(str(path))
-        for prefix in ("scipy_openblas", "openblas"):
-            get, put = (getattr(lib, f"{prefix}_{op}_num_threads64_", None) for op in ("get", "set"))
-            if put:
-                get.restype, put.restype, put.argtypes = ctypes.c_int, None, [ctypes.c_int]
-                return get, put
-    return None
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # kvgeom's workers are its only threads: a multi-threaded BLAS rounds some products otherwise
-    get_threads, set_threads = _blas_threads() or (lambda: 0, lambda n: None)
-    threads = get_threads()
+    """Run argv's command (default: sys.argv[1:]) under `one_blas_thread`; return its exit code."""
     try:
         config = parse_config(argv)
-        set_threads(1)
-        return run(config)
+        with one_blas_thread():
+            return run(config)
     except (ValidationError, MemoryError) as exc:
         return _emit_error(2, exc)
     except OSError as exc:
         return _emit_error(3, exc)
     except (EstimationError, ArithmeticError) as exc:
         return _emit_error(4, exc)
-    finally:
-        set_threads(threads)
 
 
 if __name__ == "__main__":

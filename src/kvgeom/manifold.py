@@ -123,7 +123,7 @@ def _sorted_nn_dists(points: np.ndarray, k: int) -> np.ndarray:
     ROW_TILE, 2*ROW_TILE, ... and column blocks at 0, COL_BLOCK, ...
     whatever the worker count, so the BLAS sees the same blocks and the
     table has the same bits on any number of CPUs while the BLAS runs one
-    thread per call, as `cli.main` sets it. Each block's squared
+    thread per call, as `_each_slab` sets it. Each block's squared
     distances round as the whole n x n matrix's would (doubling a factor of
     each dot product is exact), and the k smallest of a row are the k
     smallest of its blocks' k smallest, so the table equals the whole

@@ -75,8 +75,7 @@ def _format_column(values, block: int):
         if table is not None:
             yield table[part - lo].tolist()
         elif kind == "f":
-            # no float's repr holds ", "; no block is empty (split would give [""])
-            yield repr(part.astype(np.float64, copy=False).tolist())[1:-1].split(", ")
+            yield list(map(repr, part.tolist()))
         else:
             yield [_format_cell(v) for v in part]
 

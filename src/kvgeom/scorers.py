@@ -95,10 +95,6 @@ class ScorerSpec:
         own = METHOD_TABLE[self.method]
         return own.label.format(self.param) if own.field else self.method
 
-    def to_dict(self) -> dict:
-        own = METHOD_TABLE[self.method]
-        return {"method": self.method, **({own.key: self.param} if own.field else {})}
-
 
 def centroid(keys: np.ndarray) -> np.ndarray:
     """Mean key vector of an (N, d) matrix, accumulated in float64."""

@@ -9,10 +9,14 @@ interchange contract; in-memory arrays are native-endian.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import struct
-from threading import Thread, current_thread, main_thread
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
+from threading import Thread, current_thread, main_thread
 
 import numpy as np
 
@@ -55,6 +59,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@cache
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    here = Path(np.__file__).parent
+    for path in [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]:
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            get, put = (getattr(lib, f"{prefix}_{op}_num_threads64_", None) for op in ("get", "set"))
+            if put:
+                get.restype, put.restype, put.argtypes = ctypes.c_int, None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS, if any, at one thread (process-wide) and give
+    the caller's count back after the block: kvgeom's workers are its only threads."""
+    get_threads, set_threads = _blas_threads() or (lambda: 0, lambda n: None)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def _each_slab(shape: tuple, work, scratch=lambda: None, workers: int = MAX_WORKERS) -> None:
     """Call `work(*index, buf)` for every index of `shape`, such as (batch, heads).
 
@@ -63,6 +94,7 @@ def _each_slab(shape: tuple, work, scratch=lambda: None, workers: int = MAX_WORK
     (whose later allocations then reuse its memory). Runs inline when w is 1
     or off the main thread (a sweep job, a slab of another loop), else on w
     threads while the caller waits; raises the lowest failing index's error.
+    The run holds `one_blas_thread` on the main thread; off it, the caller's.
     Each slab runs the same operations on any worker, so results do not depend on w.
     """
     slabs = list(np.ndindex(shape))
@@ -79,12 +111,13 @@ def _each_slab(shape: tuple, work, scratch=lambda: None, workers: int = MAX_WORK
             failed.append((i, err))
 
     threads = [Thread(target=run, args=(w,)) for w in range(workers)] if workers > 1 else []
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if not threads:
-        run(0)
+    with one_blas_thread() if on_main else nullcontext():
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if not threads:
+            run(0)
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
 

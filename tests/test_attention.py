@@ -29,6 +29,7 @@ from kvgeom import (
 )
 from kvgeom.attention import average_ranks, softmax_rows
 from kvgeom.cli import main
+from kvgeom.tensor import one_blas_thread
 
 from conftest import TIE_HEAVY, kt, random_tensor, retention, rng
 
@@ -149,9 +150,11 @@ class TestAttention:
         v = KeyTensor(rng(14).normal(size=k_shape[:3] + (5,)))
         qd = q.data.astype(np.float64)
         kd = k.data.astype(np.float64)
-        batched = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / np.sqrt(k.head_dim))
+        with one_blas_thread():  # as the library runs its slabs' products
+            batched = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / np.sqrt(k.head_dim))
+            values = batched @ v.data.astype(np.float64)
         assert np.array_equal(attention_weights(q, k), batched)
-        assert np.array_equal(attention(q, k, v).values, batched @ v.data.astype(np.float64))
+        assert np.array_equal(attention(q, k, v).values, values)
 
     def test_peak_memory_below_whole_key_copy(self):
         q = random_tensor(12, heads=4, seq=8, dim=16)
@@ -222,16 +225,18 @@ class TestPreservationError:
             [g.permutation(seq)[: int(g.integers(1, seq + 1))] for _ in range(heads)]
             for _ in range(batch)
         ])
-        # the whole-tensor float64 expression
+        # the whole-tensor float64 expression, on one BLAS thread as the library's slabs
         qd, kd, vd = (t.data.astype(np.float64) for t in (q, k, v))
         scale = np.sqrt(dim)
-        full = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / scale) @ vd
-        kept = np.empty_like(full)
-        for bi in range(batch):
-            for hi in range(heads):
-                idx = retained.indices[bi][hi]
-                kept[bi, hi] = softmax_rows(qd[bi, hi] @ kd[bi, hi, idx].T / scale) @ vd[bi, hi, idx]
-        expected = float(np.linalg.norm(full - kept) / np.linalg.norm(full))
+        with one_blas_thread():
+            full = softmax_rows(qd @ kd.transpose(0, 1, 3, 2) / scale) @ vd
+            kept = np.empty_like(full)
+            for bi in range(batch):
+                for hi in range(heads):
+                    idx = retained.indices[bi][hi]
+                    kept[bi, hi] = (softmax_rows(qd[bi, hi] @ kd[bi, hi, idx].T / scale)
+                                    @ vd[bi, hi, idx])
+            expected = float(np.linalg.norm(full - kept) / np.linalg.norm(full))
         # the same error through the library, one (batch, head) of the compressed cache at a time
         values = attention(q, k, v).values
         cache = compress_cache(k, v, retained)

@@ -8,8 +8,11 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
+from typing import get_args, get_origin
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from kvgeom import (
     METHODS,
+    EstimationError,
     KeyTensor,
     SCENARIO_KINDS,
     ScorerSpec,
@@ -795,17 +799,63 @@ class TestDimEstimateCommand:
 
 
 class TestBlasThreads:
-    """`main` runs numpy's BLAS on one thread and gives the caller's count back."""
+    """Worker loops and CLI commands run numpy's BLAS on one thread and give the
+    caller's count back; a loop off the main thread leaves the BLAS alone."""
 
     @pytest.fixture
     def blas(self):
-        found = cli._blas_threads()
+        found = tensor._blas_threads()
         if found is None:
             pytest.skip("no thread-count setter in numpy's bundled BLAS")
         get_threads, set_threads = found
         callers = get_threads()
+        set_threads(2)
         yield found
         set_threads(callers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_slab_runs_the_blas_on_one_thread(self, blas, workers):
+        get_threads, _ = blas
+        seen = []
+        tensor._each_slab((5,), lambda i, _: seen.append(get_threads()), workers=workers)
+        assert seen == [1] * 5
+        assert get_threads() == 2
+
+    def test_a_failing_slab_gives_the_threads_back(self, blas):
+        get_threads, _ = blas
+        seen = []
+
+        def work(i, _):
+            seen.append(get_threads())
+            if i == 1:
+                raise EstimationError("slab 1")
+
+        with pytest.raises(EstimationError, match="slab 1"):
+            tensor._each_slab((4,), work)
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
+
+    def test_a_loop_off_the_main_thread_leaves_the_blas_alone(self, blas):
+        get_threads, _ = blas
+        seen = []
+        worker = threading.Thread(target=tensor._each_slab,
+                                  args=((3,), lambda i, _: seen.append(get_threads())))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert seen == [2] * 3
+
+    def test_dimensions_do_not_depend_on_the_callers_threads(self, blas):
+        # the output matrix's 3001-point cloud: not a multiple of 8, which a
+        # multi-threaded OpenBLAS rounds differently
+        _, set_threads = blas
+        points = gen_cluster_mixture(n=3001, d=16, k_clusters=4, spread=1.0, separation=10.0,
+                                     seed=0).keys.data.reshape(-1, 16)
+        reports = []
+        for threads in (2, 1):
+            set_threads(threads)
+            reports.append(np.array(astuple(manifold.estimate_dimensions(points))).tobytes())
+        assert reports[0] == reports[1]
 
     def test_report_bytes_do_not_depend_on_the_callers_threads(self, blas, capsys, tmp_path):
         from output_matrix import _write_inputs
@@ -826,12 +876,29 @@ class TestBlasThreads:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_a_failing_command_gives_the_threads_back(self, blas, capsys, keys_file, tmp_path):
-        get_threads, set_threads = blas
-        set_threads(2)
-        code, _, _ = run_cli(capsys, "dim-estimate", "--input", str(keys_file),
-                             "--threshold", "2", "--out", str(tmp_path / "d.csv"))
-        assert code == 2
+    def test_compare_bytes_do_not_depend_on_the_callers_threads(self, blas, capsys, tmp_path):
+        # 2**18 scores per method: `pearson`'s dot products over them, outside any
+        # worker loop, round differently on 2 BLAS threads unless the command holds 1
+        keys = tmp_path / "keys.kvt"
+        save_kvt(random_tensor(5, heads=2, seq=2**17, dim=4), keys)
+        _, set_threads = blas
+        reports = []
+        for threads in (2, 1):
+            set_threads(threads)
+            out = tmp_path / f"threads-{threads}.csv"
+            code, _, _ = run_cli(capsys, "compare", "--input", str(keys), "--out", str(out))
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_a_failing_command_gives_the_threads_back(self, blas, capsys, tmp_path):
+        # identical points: the command fails inside its run, with exit 4
+        get_threads, _ = blas
+        same = tmp_path / "same.kvt"
+        save_kvt(KeyTensor(np.ones((1, 1, 16, 4))), same)
+        code, _, _ = run_cli(capsys, "dim-estimate", "--input", str(same),
+                             "--out", str(tmp_path / "d.csv"))
+        assert code == 4
         assert get_threads() == 2
 
 
@@ -1108,6 +1175,7 @@ def _assert_documented_exit(code, err):
     if code != 0:
         assert err.count("\n") == 1
         payload = json.loads(err)
+        assert set(payload) == {"error", "message", "exit_code"}
         assert payload["exit_code"] == code and isinstance(payload["message"], str)
 
 
@@ -1116,7 +1184,37 @@ def fuzz_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz-inputs")
     save_kvt(random_tensor(3, batch=1, heads=2, seq=24, dim=4), root / "keys.kvt")
     (root / "a.csv").write_text("score\n1.0\n2.5\n4.0\n")
-    return {"keys": str(root / "keys.kvt"), "csv": str(root / "a.csv")}
+    save_sidecar(SMALL_SCENARIOS["radial"], root / "s.json")
+    return {"keys": str(root / "keys.kvt"), "csv": str(root / "a.csv"),
+            "sidecar": str(root / "s.json")}
+
+
+# Text after a flag, drawn from its `cli._COMMANDS` row: a value of the row's
+# type and choices, kept small (sizes, grid entries and --obs-window at most 64,
+# --jobs at most 2) so that a case runs in milliseconds, or text no row takes.
+ADVERSARIAL_TEXT = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1", "0", "-0.0", "", "x",
+                                    "1,,x", ","])
+OUTPUT_PATHS = st.sampled_from(["o.out", "", ".", "missing-dir/o.out"])
+
+
+def _flag_text(o, inputs):
+    listed = get_origin(o.type) is list
+    kind = get_args(o.type)[0] if listed else o.type
+    if o.key == "jobs":
+        one = st.integers(-1, 2).map(str)
+    elif o.choices:
+        one = st.sampled_from(o.choices)
+    elif kind is int:
+        one = st.integers(-1, 64).map(str)
+    elif kind is float:
+        one = st.floats(-0.5, 2.0).map(repr)
+    elif o.key.startswith("out"):
+        one = OUTPUT_PATHS
+    else:  # an input file, or a CSV column name
+        one = st.sampled_from([*inputs.values(), "missing.kvt", ".", "score"])
+    if listed:
+        one = st.lists(one, min_size=1, max_size=3).map(",".join)
+    return one | ADVERSARIAL_TEXT
 
 
 class TestArbitraryInputs:
@@ -1138,6 +1236,22 @@ class TestArbitraryInputs:
             _assert_documented_exit(*_main_in(workdir, argv))
 
         check()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_arbitrary_argv(self, tmp_path_factory, fuzz_inputs, data):
+        command = data.draw(st.sampled_from(COMMANDS))
+        rows = cli._COMMANDS[command].options
+        argv = [command, *(a.format(**fuzz_inputs) for a in PINNED[command])]
+        for o in rows:  # small sizes and a first choice, so that drawn flags override them
+            if o.key in SMALL_SIZES:
+                size = SMALL_SIZES[o.key]
+                argv += [o.flag, ",".join(map(str, size)) if isinstance(size, list) else str(size)]
+            elif o.choices and o.default is None:
+                argv += [o.flag, o.choices[0]]
+        for o in data.draw(st.lists(st.sampled_from(rows), max_size=4, unique_by=id)):
+            argv += [o.flag] if o.type is bool else [o.flag, data.draw(_flag_text(o, fuzz_inputs))]
+        _assert_documented_exit(*_main_in(tmp_path_factory.mktemp("fuzz"), argv))
 
     @settings(max_examples=60, deadline=None)
     @given(

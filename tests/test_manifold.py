@@ -30,10 +30,12 @@ def whole_matrix_nn_dists(points, k):
     return np.sqrt(part)
 
 
+@tensor.one_blas_thread()
 def fresh_temporary_nn_dists(points, k):
-    """Reference block loop: the same BLAS calls as the kernel, with fresh
-    temporaries for every (row tile, column block), a tile's blocks joined
-    into whole rows, and the clamp to 0 over the whole tile before selection."""
+    """Reference block loop: the same BLAS calls as the kernel, on one BLAS
+    thread as the kernel's, with fresh temporaries for every (row tile, column
+    block), a tile's blocks joined into whole rows, and the clamp to 0 over the
+    whole tile before selection."""
     n = points.shape[0]
     rows, cols = min(n, manifold.ROW_TILE), min(n, manifold.COL_BLOCK)
     sq = (points**2).sum(axis=1)

@@ -40,18 +40,6 @@ ALL_GLOBAL_SPECS = [
 
 
 class TestScorerSpec:
-    def test_to_dict(self):
-        assert ScorerSpec("manifold").to_dict() == {"method": "manifold"}
-        assert ScorerSpec("windowed", 512).to_dict() == {
-            "method": "windowed", "window": 512,
-        }
-        assert ScorerSpec("hybrid", 0.3).to_dict() == {
-            "method": "hybrid", "lambda": 0.3,
-        }
-        assert ScorerSpec("obs_attention", 4).to_dict() == {
-            "method": "obs_attention", "obs_window": 4,
-        }
-
     def test_labels(self):
         assert ScorerSpec("manifold").label() == "manifold"
         assert ScorerSpec("windowed", 4).label() == "windowed[4]"
@@ -75,36 +63,32 @@ class TestScorerSpec:
             ScorerSpec(**kwargs)
 
 
-# every method with the label and to_dict() it has always had
+# every method with the label it has always had
 SPEC_STRINGS = [
-    (ScorerSpec("manifold"), "manifold", {"method": "manifold"}),
-    (ScorerSpec("windowed", 7), "windowed[7]", {"method": "windowed", "window": 7}),
-    (ScorerSpec("windowed", 10**6), "windowed[1000000]",
-     {"method": "windowed", "window": 10**6}),
-    (ScorerSpec("windowed", np.int64(7)), "windowed[7]", {"method": "windowed", "window": 7}),
-    (ScorerSpec("keydiff"), "keydiff", {"method": "keydiff"}),
-    (ScorerSpec("knorm"), "knorm", {"method": "knorm"}),
-    (ScorerSpec("l1"), "l1", {"method": "l1"}),
-    (ScorerSpec("linf"), "linf", {"method": "linf"}),
-    (ScorerSpec("hybrid", 0.3), "hybrid[0.3]", {"method": "hybrid", "lambda": 0.3}),
-    (ScorerSpec("hybrid", 1e-7), "hybrid[1e-07]",
-     {"method": "hybrid", "lambda": 1e-7}),
-    (ScorerSpec("hybrid", 1), "hybrid[1]", {"method": "hybrid", "lambda": 1}),
-    (ScorerSpec("normalized"), "normalized", {"method": "normalized"}),
-    (ScorerSpec("obs_attention", 16), "obs_attention[16]",
-     {"method": "obs_attention", "obs_window": 16}),
+    (ScorerSpec("manifold"), "manifold"),
+    (ScorerSpec("windowed", 7), "windowed[7]"),
+    (ScorerSpec("windowed", 10**6), "windowed[1000000]"),
+    (ScorerSpec("windowed", np.int64(7)), "windowed[7]"),
+    (ScorerSpec("keydiff"), "keydiff"),
+    (ScorerSpec("knorm"), "knorm"),
+    (ScorerSpec("l1"), "l1"),
+    (ScorerSpec("linf"), "linf"),
+    (ScorerSpec("hybrid", 0.3), "hybrid[0.3]"),
+    (ScorerSpec("hybrid", 1e-7), "hybrid[1e-07]"),
+    (ScorerSpec("hybrid", 1), "hybrid[1]"),
+    (ScorerSpec("normalized"), "normalized"),
+    (ScorerSpec("obs_attention", 16), "obs_attention[16]"),
 ]
 
 
 class TestMethodTable:
     def test_covers_every_method(self):
-        assert {spec.method for spec, _, _ in SPEC_STRINGS} == set(METHODS)
+        assert {spec.method for spec, _ in SPEC_STRINGS} == set(METHODS)
         assert METHODS == tuple(METHOD_TABLE)
 
-    @pytest.mark.parametrize("spec, label, as_dict", SPEC_STRINGS, ids=lambda v: str(v))
-    def test_label_and_to_dict(self, spec, label, as_dict):
+    @pytest.mark.parametrize("spec, label", SPEC_STRINGS, ids=lambda v: str(v))
+    def test_label_and_to_dict(self, spec, label):
         assert spec.label() == label
-        assert spec.to_dict() == as_dict
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"method": "windowed"}, "method 'windowed' requires window_size (--window)"),
