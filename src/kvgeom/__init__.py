@@ -41,6 +41,7 @@ from .manifold import (
     pca_effective_dim,
     twonn_dim,
 )
+from .report import TOOL_VERSION as __version__
 from .report import Report, config_hash
 from .scorers import (
     METHODS,
@@ -70,5 +71,3 @@ from .synth import (
     save_sidecar,
 )
 from .tensor import KeyTensor, ScoreTensor, load_kvt, save_kvt
-
-__version__ = "0.1.0"

@@ -100,11 +100,7 @@ def average_ranks(x) -> np.ndarray:
 
 def spearman(a, b) -> float:
     """Pearson correlation of average-ranked vectors."""
-    x = _as_score_vector(a, "a")
-    y = _as_score_vector(b, "b")
-    if x.size != y.size:
-        raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
-    return pearson(average_ranks(x), average_ranks(y))
+    return pearson(average_ranks(_as_score_vector(a, "a")), average_ranks(_as_score_vector(b, "b")))
 
 
 def selection_overlap(ra, rb) -> float:

@@ -282,6 +282,15 @@ def _write_report(opts, name: str, columns: list, rows) -> None:
     Report(name, columns, rows, metadata).write(opts["out"], opts["format"])
 
 
+def _wrote(opts, report: Report, detail: str = "") -> int:
+    """Write a library-built `report` to --out in --format, print that it did
+    (and `detail`, if any), and return the command's exit status, 0."""
+    report.write(opts["out"], opts["format"])
+    print(f"{report.name}: wrote {opts['out']} ({len(report.rows)} rows)"
+          + (detail and f"; {detail}"))
+    return 0
+
+
 def _cmd_score(opts) -> int:
     keys = load_kvt(opts["input"])
     spec = _scorer_spec(opts)
@@ -354,24 +363,14 @@ def _by_name(fn, opts, **given):
 
 def _cmd_dilution(opts) -> int:
     report = _by_name(dilution_sweep, opts)
-    report.write(opts["out"], opts["format"])
-    means = [r for r in report.rows if r["row"] == "mean"]
-    worst = max(means, key=lambda r: r["gap"])
-    print(
-        f"dilution: wrote {opts['out']} ({len(report.rows)} rows); "
-        f"max windowed-global gap {worst['gap']:.3f} at K={worst['k_clusters']}"
-    )
-    return 0
+    worst = max((r for r in report.rows if r["row"] == "mean"), key=lambda r: r["gap"])
+    return _wrote(opts, report,
+                  f"max windowed-global gap {worst['gap']:.3f} at K={worst['k_clusters']}")
 
 
 def _cmd_ablation(opts) -> int:
     report = _by_name(window_ablation, opts)
-    report.write(opts["out"], opts["format"])
-    print(
-        f"ablation: wrote {opts['out']} ({len(report.rows)} rows); "
-        f"best window {report.metadata['best_window']}"
-    )
-    return 0
+    return _wrote(opts, report, f"best window {report.metadata['best_window']}")
 
 
 def _cmd_dim_estimate(opts) -> int:
@@ -423,14 +422,8 @@ def _cmd_collision_demo(opts) -> int:
 
 def _cmd_separation(opts) -> int:
     report = _by_name(separation_test, opts, spec=_scorer_spec(opts))
-    report.write(opts["out"], opts["format"])
-    means = [r for r in report.rows if r["row"] == "mean"]
-    tail = means[-1]
-    print(
-        f"separation: wrote {opts['out']} ({len(report.rows)} rows); "
-        f"success fraction {tail['success']:.2f} at n={tail['n']}"
-    )
-    return 0
+    tail = report.rows[-1]  # the last grid point's mean row
+    return _wrote(opts, report, f"success fraction {tail['success']:.2f} at n={tail['n']}")
 
 
 def _cmd_compare(opts) -> int:
@@ -444,9 +437,7 @@ def _cmd_compare(opts) -> int:
     queries = _load_queries(opts, opts["methods"])
     report = compare_methods(scenario, specs, opts["rho"], queries=queries)
     report.metadata.update({} if queries is None else {"queries": opts["queries"]})
-    report.write(opts["out"], opts["format"])
-    print(f"compare: wrote {opts['out']} ({len(report.rows)} rows)")
-    return 0
+    return _wrote(opts, report)
 
 
 def _read_csv_column(path, col: str) -> list:

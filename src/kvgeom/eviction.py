@@ -160,10 +160,8 @@ def _round_robin(alloc, order, room, left: int, step: int) -> None:
 
 
 def _apportion(quotas: np.ndarray, total: int, upper: int) -> np.ndarray:
-    """Largest-remainder apportionment with per-slot bounds [1, upper]."""
+    """Largest-remainder apportionment of `total`, in [k, k * upper], over k slots in [1, upper]."""
     k = quotas.size
-    if not k <= total <= k * upper:
-        raise ValidationError(f"total {total} infeasible for {k} heads with cap {upper}")
     base = np.floor(quotas).astype(np.int64)
     frac = quotas - base
     alloc = np.clip(base, 1, upper)
@@ -188,12 +186,11 @@ def allocate_head_budgets(scores: ScoreTensor, rho: float, mode: str) -> np.ndar
     """
     if mode not in BUDGET_MODES:
         raise ValidationError(f"mode must be one of {BUDGET_MODES}, got {mode!r}")
-    if not 0.0 <= rho < 1.0:
-        raise ValidationError(f"rho must be in [0, 1), got {rho}")
     n = scores.seq_len
     heads = scores.heads
+    per_head = budget(n, rho)  # also checks rho, in either mode
     if mode == "uniform":
-        return np.full(heads, budget(n, rho), dtype=np.int64)
+        return np.full(heads, per_head, dtype=np.int64)
     total = max(heads, min(heads * n, math.floor(heads * (1.0 - rho) * n + 1e-9)))
     mass = scores.data.sum(axis=(0, 2)).astype(np.float64)
     mass_sum = float(mass.sum())

@@ -87,6 +87,13 @@ def run_retention(scenario: Scenario, spec: ScorerSpec, rho: float) -> Retention
     return RetentionResult(hits, total, hits / total)
 
 
+def _mixture_rates(specs, rho: float, **mixture) -> tuple:
+    """(retention rate of each of `specs`, in order, at `rho`; scenario source)
+    on one cluster mixture, generated once from the `mixture` arguments."""
+    scenario = gen_cluster_mixture(**mixture)
+    return [run_retention(scenario, spec, rho).retention_rate for spec in specs], scenario.source
+
+
 def _map_jobs(jobs: int, fn, args_list):
     """[fn(*args) for args in args_list], on up to `jobs` workers of `_each_slab`."""
     rows = [None] * len(args_list)
@@ -194,16 +201,12 @@ def dilution_sweep(
 
     def job(k_clusters: int, seed: int) -> tuple:
         w = window if window is not None else max(1, n // k_clusters)
-        scenario = gen_cluster_mixture(
-            n=n, d=d, k_clusters=k_clusters, spread=spread,
-            separation=separation, seed=seed,
-        )
-        g = run_retention(scenario, ScorerSpec("manifold"), rho).retention_rate
-        wr = run_retention(scenario, ScorerSpec("windowed", w), rho).retention_rate
-        kd = run_retention(scenario, ScorerSpec("keydiff"), rho).retention_rate
+        (g, wr, kd), source = _mixture_rates(
+            [ScorerSpec("manifold"), ScorerSpec("windowed", w), ScorerSpec("keydiff")], rho,
+            n=n, d=d, k_clusters=k_clusters, spread=spread, separation=separation, seed=seed)
         return ({"row": "run", "k_clusters": k_clusters, "window": w, "seed": seed,
                  "global_retention": g, "windowed_retention": wr,
-                 "keydiff_retention": kd, "gap": wr - g}, scenario.source)
+                 "keydiff_retention": kd, "gap": wr - g}, source)
 
     params = {"k_grid": k_grid, "rho": rho, "window": window}
     means = ("global_retention", "windowed_retention", "keydiff_retention", "gap")
@@ -240,14 +243,11 @@ def window_ablation(
         raise ValidationError("w_grid must be non-empty positive window sizes")
 
     def job(w: int, seed: int) -> tuple:
-        scenario = gen_cluster_mixture(
-            n=n, d=d, k_clusters=k_clusters, spread=spread,
-            separation=separation, seed=seed,
-        )
-        wr = run_retention(scenario, ScorerSpec("windowed", w), rho).retention_rate
-        g = run_retention(scenario, ScorerSpec("manifold"), rho).retention_rate
+        (wr, g), source = _mixture_rates(
+            [ScorerSpec("windowed", w), ScorerSpec("manifold")], rho,
+            n=n, d=d, k_clusters=k_clusters, spread=spread, separation=separation, seed=seed)
         return ({"row": "run", "window": w, "seed": seed,
-                 "windowed_retention": wr, "global_retention": g}, scenario.source)
+                 "windowed_retention": wr, "global_retention": g}, source)
 
     params = {"w_grid": w_grid, "rho": rho}
     means = ("windowed_retention", "global_retention")

@@ -39,8 +39,6 @@ def _jsonable(v):
         return float(v)
     if isinstance(v, np.ndarray):
         return v.tolist()
-    if isinstance(v, (tuple, set)):
-        return list(v)
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError, check_memory, json_value, parse_file
 from .report import write_json
-from .tensor import ROW_CHUNK, KeyTensor, freeze
+from .tensor import ROW_CHUNK, KeyTensor, as_key_tensor, freeze
 
 QUERY_MODES = ("random", "needle_probing")
 
@@ -72,7 +72,7 @@ def _orth_unit(rng: np.random.Generator, d: int, *against: np.ndarray) -> np.nda
 
 
 def _balanced_units(rng: np.random.Generator, count: int, d: int, axis: np.ndarray) -> np.ndarray:
-    """Random unit vectors orthogonal to `axis` that sum to (near-)zero.
+    """`count` >= 2 random unit vectors orthogonal to `axis` that sum to (near-)zero.
 
     Antithetic pairs (v, -v) cancel exactly; an odd leftover is covered by a
     120-degree triple in a random orthogonal plane when d >= 3. The zero-sum
@@ -80,11 +80,9 @@ def _balanced_units(rng: np.random.Generator, count: int, d: int, axis: np.ndarr
     the construction axis, so radial-blindness statements hold exactly
     instead of up to O(1/sqrt(n)) sampling drift.
     """
-    if count < 1:
-        return np.empty((0, d))
     out = np.empty((count, d))
     pos = 0
-    if count % 2 == 1 and count >= 3 and d >= 3:
+    if count % 2 == 1 and d >= 3:
         p = _orth_unit(rng, d, axis)
         q = _orth_unit(rng, d, axis, p)
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -96,7 +94,7 @@ def _balanced_units(rng: np.random.Generator, count: int, d: int, axis: np.ndarr
         out[pos] = _orth_unit(rng, d, axis)
         out[pos + 1] = -out[pos]
         pos += 2
-    if pos < count:  # single leftover (count == 1, or odd count with d == 2)
+    if pos < count:  # an odd count's leftover when d == 2
         out[pos] = _orth_unit(rng, d, axis)
     return out
 
@@ -115,16 +113,6 @@ def _check_size(n: int, d: int, k: int = 0) -> None:
     check_memory(8 * n * d, f"an n={n} x d={d} scenario", " of float64 keys")
     # per basis entry: the float64 draw and Q factor, a Python float and list slot in params
     check_memory(48 * d * k, f"a d={d} x k={k} subspace basis")
-
-
-def _as_tensor(matrix: np.ndarray) -> KeyTensor:
-    """An (n, d) float64 matrix as a (1, 1, n, d) KeyTensor, cast into a fresh
-    float32 array that the tensor adopts without a copy."""
-    out = np.empty((1, 1) + matrix.shape, dtype=np.float32)
-    # values beyond float32 range become inf here, which KeyTensor reports
-    with np.errstate(over="ignore"):
-        np.copyto(out[0, 0], matrix, casting="same_kind")
-    return KeyTensor(freeze(out))
 
 
 def _with_needles(commons: np.ndarray, positions, rows) -> np.ndarray:
@@ -204,7 +192,7 @@ def gen_subspace_scenario(
     needles = _needle_positions(rng, n_out, n)
     keys = _with_needles(common, needles, inplane + epsilon * offsets)
 
-    return _as_scenario("subspace", _as_tensor(keys), needles, args,
+    return _as_scenario("subspace", as_key_tensor(keys[None, None]), needles, args,
                         separation_scale=applied_scale, basis=basis.tolist())
 
 
@@ -232,7 +220,7 @@ def gen_radial_failure(alpha: float, epsilon: float, n: int, d: int, seed: int) 
     jitter = _balanced_units(rng, n - 1, d, axis)
     pos = int(rng.integers(1, n - 1))
     keys = _with_needles(axis + epsilon * jitter, [pos], [alpha * axis])
-    return _as_scenario("radial", _as_tensor(keys), [pos], args)
+    return _as_scenario("radial", as_key_tensor(keys[None, None]), [pos], args)
 
 
 def gen_cluster_mixture(
@@ -338,7 +326,7 @@ def gen_collision_scenario(
     commons = (direction + epsilon * jitter) / np.sqrt(1.0 + epsilon**2)
     positions = _needle_positions(rng, len(magnitudes), n)
     keys = _with_needles(commons, positions, [m * direction for m in magnitudes])
-    return _as_scenario("collision", _as_tensor(keys), positions, args,
+    return _as_scenario("collision", as_key_tensor(keys[None, None]), positions, args,
                         direction=direction.tolist(),
                         needle_positions=[int(p) for p in positions])
 
@@ -364,9 +352,8 @@ def gen_queries(scenario: Scenario, n_queries: int, mode: str, seed: int) -> Key
             raise ValidationError("needle_probing requires a scenario with needles")
         base = scenario.keys.data[0, 0, list(scenario.needles)]
         q = base[np.resize(np.arange(len(scenario.needles)), n_queries)]
-    out = np.empty(scenario.keys.shape[:2] + q.shape, dtype=np.float32)
-    np.copyto(out, q, casting="same_kind")  # the same draw for every (batch, head)
-    return KeyTensor(freeze(out))
+    # the same draw for every (batch, head)
+    return as_key_tensor(np.broadcast_to(q, scenario.keys.shape[:2] + q.shape))
 
 
 _GENERATORS = {"subspace": gen_subspace_scenario, "radial": gen_radial_failure,

@@ -216,6 +216,16 @@ class KeyTensor(_Frame):
         return self.data[batch, head].astype(np.float64)
 
 
+def as_key_tensor(values) -> KeyTensor:
+    """`values` cast into a fresh float32 array, which a KeyTensor adopts
+    without a copy. A value beyond the float32 range becomes inf here, which
+    KeyTensor refuses."""
+    out = np.empty(np.shape(values), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        np.copyto(out, values, casting="same_kind")
+    return KeyTensor(freeze(out))
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreTensor(_Frame):
     """Per-token scores aligned with a KeyTensor's (batch, heads, seq) axes."""
@@ -231,12 +241,8 @@ class ScoreTensor(_Frame):
 
         Raises ValidationError when a score lies beyond the float32 range.
         """
-        out = np.empty(self.data.shape + (1,), dtype=np.float32)
-        # scores beyond float32 range become inf here, which KeyTensor refuses
-        with np.errstate(over="ignore"):
-            np.copyto(out[..., 0], self.data, casting="same_kind")
         try:
-            return KeyTensor(freeze(out))
+            return as_key_tensor(self.data[..., None])
         except ValidationError:
             limit = float(np.finfo(np.float32).max)
             raise ValidationError(

@@ -102,6 +102,9 @@ CASES = {
     "score-config-bad-window": [*SCORE, "--method", "windowed", "--config", "in/window.json"],
     "compress-manifold-proportional": [*COMPRESS, "--mode", "proportional", "--rho", "0.25"],
     **{f"compress-{m}": [*COMPRESS, "--method", m, *METHOD_FLAGS[m]] for m in METHOD_FLAGS},
+    # a window of one token scores every token 0: proportional budgets on no score mass
+    "compress-windowed-1-proportional": [*COMPRESS, "--method", "windowed", "--window", "1",
+                                         "--mode", "proportional"],
     **{f"dim-estimate-{how}-{fmt}": [*DIM, *flags, "--format", fmt, "--out", f"{{out}}/d.{fmt}"]
        for how, flags in (("heads", []), ("pooled", ["--pooled"])) for fmt in ("csv", "json")},
     "collision-demo": ["collision-demo", "--n", "64"],

@@ -314,6 +314,16 @@ class TestSpearman:
             expected = scipy.stats.spearmanr(a, b).statistic
             assert spearman(a, b) == pytest.approx(expected, abs=1e-10)
 
+    def test_length_mismatch_message(self):
+        with pytest.raises(ValidationError) as err:
+            spearman([1.0, 2.0, 3.0], [1.0, 2.0])
+        assert str(err.value) == "length mismatch: 3 vs 2"
+
+    def test_a_is_checked_first(self):
+        with pytest.raises(ValidationError) as err:
+            spearman([1.0, np.nan, 3.0], [1.0, 2.0])
+        assert str(err.value) == "a contains NaN or Inf"
+
     def test_average_ranks(self):
         assert np.array_equal(average_ranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0])
 

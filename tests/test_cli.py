@@ -403,9 +403,10 @@ def test_range_rules(capsys, tmp_path, argv, message):
 
 
 class TestSlabWorkerErrors:
-    """Bad payloads that two workers read, one (batch, head) slab each in turn."""
+    """Bad payloads in the last of several (batch, head) slabs, with two CPUs usable:
+    the payload is read in one loop on the calling thread, whatever the worker count."""
 
-    SHAPE = (2, 3, 700, 16)  # six slabs: the second worker reads the last one
+    SHAPE = (2, 3, 700, 16)  # six slabs, each 700 x 16 float32 values
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -431,10 +432,10 @@ class TestSlabWorkerErrors:
                                 "--out", str(tmp_path / "o.csv"))
         assert message == "tensor contains NaN or Inf"
 
-    def test_short_read_in_the_second_workers_slab(self, capsys, monkeypatch, tmp_path):
+    def test_short_read_in_the_last_slab(self, capsys, monkeypatch, tmp_path):
         keys = self._write(tmp_path / "k.kvt")
         slab = 4 * math.prod(self.SHAPE[2:])
-        end = 20 + 5 * slab + 100  # the file is cut off here once its size was taken
+        end = 20 + 5 * slab + 100  # the file is cut off here, in the last slab, once sized
         preadv = os.preadv
         monkeypatch.setattr(tensor.os, "preadv", lambda fd, buffers, offset: preadv(
             fd, [memoryview(buffers[0])[: max(0, end - offset)]], offset))

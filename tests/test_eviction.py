@@ -362,6 +362,21 @@ class TestAllocateHeadBudgets:
         budgets = allocate_head_budgets(self._scores([5, 0], 10), 0.5, "proportional")
         assert budgets.tolist() == [9, 1]
 
+    @pytest.mark.parametrize("heads, n, rho", [(5, 7, 0.3), (3, 10, 0.0), (4, 2, 0.9)])
+    def test_all_zero_scores_split_evenly(self, heads, n, rho):
+        # no score mass: the clamped total goes out evenly, the extra tokens to the lowest heads
+        budgets = allocate_head_budgets(ScoreTensor(np.zeros((2, heads, n))), rho, "proportional")
+        total = max(heads, min(heads * n, math.floor(heads * (1 - rho) * n + 1e-9)))
+        q, r = divmod(total, heads)
+        assert budgets.tolist() == [q + 1] * r + [q] * (heads - r)
+        assert budgets.sum() == total and (np.abs(budgets - total / heads) < 1).all()
+
+    @pytest.mark.parametrize("mode", ["uniform", "proportional"])
+    def test_rho_message(self, mode):
+        with pytest.raises(ValidationError) as err:
+            allocate_head_budgets(self._scores([1, 2], 4), 1.0, mode)
+        assert str(err.value) == "rho must be in [0, 1), got 1.0"
+
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             allocate_head_budgets(self._scores([1], 4), 0.5, "bogus")

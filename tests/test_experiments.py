@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from kvgeom import (
+    Scenario,
     ScorerSpec,
     ValidationError,
     budget,
@@ -79,6 +80,13 @@ class TestRunRetention:
         result = run_retention(scenario, ScorerSpec("obs_attention", 8), rho=0.5)
         assert result.retention_rate == 1.0  # probing queries concentrate on the needle
 
+    def test_scenario_without_needles_rejected(self):
+        keys = gen_radial_failure(alpha=100.0, epsilon=0.1, n=16, d=4, seed=0).keys
+        scenario = Scenario(kind="file", keys=keys, needles=(), params={"seed": 0})
+        with pytest.raises(ValidationError) as err:
+            run_retention(scenario, ScorerSpec("manifold"), rho=0.5)
+        assert str(err.value) == "scenario has no needles to retain"
+
     def test_deterministic(self):
         scenario = gen_collision_scenario(magnitudes=(2.0, 5.0), epsilon=0.1, n=64, d=8, seed=3)
         a = run_retention(scenario, ScorerSpec("manifold"), rho=0.5)
@@ -111,6 +119,12 @@ class TestSeparationTest:
         means = [r for r in report.rows if r["row"] == "mean"]
         assert len(runs) == 4 and len(means) == 2
         assert set(report.columns) >= {"row", "n", "seed", "retention", "success"}
+
+    def test_kind_message(self):
+        with pytest.raises(ValidationError) as err:
+            separation_test(k=2, d=8, sigma=1.0, epsilon=1.0, n_grid=[32], n_out=2, seeds=[0],
+                            kind="clusters")
+        assert str(err.value) == "kind must be 'subspace' or 'radial', got 'clusters'"
 
     def test_n_not_above_n_out_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import kvgeom
 from kvgeom import Report, config_hash, window_ablation
 from kvgeom.report import TOOL_VERSION, _format_cell
 
@@ -83,6 +84,10 @@ class TestPrintedHash:
         printed["config_hash"] = config_hash(printed)
         assert header == [f"# tool_version={TOOL_VERSION}",
                           *(f"# {k}={_format_cell(printed[k])}" for k in sorted(printed))]
+
+
+def test_package_version_is_the_printed_tool_version():
+    assert kvgeom.__version__ == TOOL_VERSION
 
 
 class TestConfigHash:
