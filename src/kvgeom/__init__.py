@@ -48,13 +48,9 @@ from .scorers import (
     ScorerSpec,
     centroid,
     compute_scores,
-    hybrid_score,
     keydiff_score,
-    knorm_score,
     l2_from_anchor,
-    lp_score,
     manifold_score,
-    normalized_manifold_score,
     obs_attention_score,
     windowed_manifold_score,
 )

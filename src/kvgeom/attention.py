@@ -74,12 +74,18 @@ def _as_score_vector(a, name: str) -> np.ndarray:
     return arr
 
 
-def pearson(a, b) -> float:
-    """Sample Pearson correlation; constant input is defined as 0 (with a warning)."""
+def _paired_samples(a, b) -> tuple:
+    """a and b as float64 vectors of one length, each of at least 2 finite entries."""
     x = _as_score_vector(a, "a")
     y = _as_score_vector(b, "b")
     if x.size != y.size:
         raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
+    return x, y
+
+
+def pearson(a, b) -> float:
+    """Sample Pearson correlation; constant input is defined as 0 (with a warning)."""
+    x, y = _paired_samples(a, b)
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc)
@@ -100,7 +106,7 @@ def average_ranks(x) -> np.ndarray:
 
 def spearman(a, b) -> float:
     """Pearson correlation of average-ranked vectors."""
-    return pearson(average_ranks(_as_score_vector(a, "a")), average_ranks(_as_score_vector(b, "b")))
+    return pearson(*map(average_ranks, _paired_samples(a, b)))
 
 
 def selection_overlap(ra, rb) -> float:

@@ -182,16 +182,15 @@ def allocate_head_budgets(scores: ScoreTensor, rho: float, mode: str) -> np.ndar
     uniform: every head gets budget(N, rho). proportional: heads receive
     budgets proportional to their total score mass (summed over batch and
     tokens), rounded by largest remainder so the global total
-    floor(heads * (1 - rho) * N) is exact, each head clamped to [1, N].
+    budget(heads * N, rho) is exact, each head clamped to [1, N].
     """
     if mode not in BUDGET_MODES:
         raise ValidationError(f"mode must be one of {BUDGET_MODES}, got {mode!r}")
     n = scores.seq_len
     heads = scores.heads
-    per_head = budget(n, rho)  # also checks rho, in either mode
     if mode == "uniform":
-        return np.full(heads, per_head, dtype=np.int64)
-    total = max(heads, min(heads * n, math.floor(heads * (1.0 - rho) * n + 1e-9)))
+        return np.full(heads, budget(n, rho), dtype=np.int64)
+    total = max(heads, budget(heads * n, rho))
     mass = scores.data.sum(axis=(0, 2)).astype(np.float64)
     mass_sum = float(mass.sum())
     if mass_sum <= 0.0:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import pearson, selection_overlap, spearman
+from .attention import _paired_samples, pearson, selection_overlap, spearman
 from .errors import ValidationError
 from .eviction import budget, retention_from_scores
 from .report import Report
-from .scorers import ScorerSpec, compute_scores
+from .scorers import ScorerSpec, _at_least_one, _integer, compute_scores
 from .synth import Scenario, gen_cluster_mixture, gen_queries, regenerate
 from .tensor import KeyTensor, _each_slab
 
@@ -112,9 +112,10 @@ def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> R
     is what reached its rows: the first job's scenario source but `column` and
     seed, then `params` (the grid, budget and scorer setting) and the seeds.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = [_integer("seeds", s) for s in seeds]
     if not seeds:  # a grid point's mean row needs at least one run
         raise ValidationError("seeds must list at least one seed")
+    _at_least_one("jobs", jobs)
     for i, point in enumerate(grid):  # a repeated point's groups would share rows
         if point in grid[:i]:
             raise ValidationError(f"{column} grid lists {point} twice")
@@ -151,7 +152,7 @@ def separation_test(
     per-n success fraction counts seeds with perfect retention.
     """
     spec = spec or ScorerSpec("manifold")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [_integer("n_grid", n) for n in n_grid]
     if not n_grid:
         raise ValidationError("n_grid must be non-empty")
     if kind not in ("subspace", "radial"):
@@ -195,7 +196,7 @@ def dilution_sweep(
     topic block). The gap column is windowed minus global retention: the
     dilution signature grows with K.
     """
-    k_grid = [int(k) for k in k_grid]
+    k_grid = [_integer("k_grid", k) for k in k_grid]
     if not k_grid or any(k < 1 for k in k_grid):
         raise ValidationError("k_grid must be non-empty positive cluster counts")
 
@@ -238,7 +239,7 @@ def window_ablation(
     if w_grid is None:
         extent = max(1, n // k_clusters)
         w_grid = sorted({max(1, extent // 2), extent, 2 * extent, 4 * extent, n})
-    w_grid = [int(w) for w in w_grid]
+    w_grid = [_integer("w_grid", w) for w in w_grid]
     if not w_grid or any(w < 1 for w in w_grid):
         raise ValidationError("w_grid must be non-empty positive window sizes")
 
@@ -263,14 +264,7 @@ def paired_ttest(a, b) -> TTestResult:
     Degenerate zero-variance inputs are flagged: identical samples give
     t = 0, p = 1; a constant nonzero difference gives p = 0.
     """
-    x = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(b, dtype=np.float64).ravel()
-    if x.size != y.size:
-        raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise ValidationError(f"need at least 2 pairs, got {x.size}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValidationError("samples contain NaN or Inf")
+    x, y = _paired_samples(a, b)
     diff = x - y
     n = diff.size
     df = n - 1

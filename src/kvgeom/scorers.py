@@ -37,10 +37,15 @@ class Method(NamedTuple):
     check: Callable | None = None
 
 
-def _at_least_one(field: str, value) -> None:
+def _integer(field: str, value) -> int:
+    """`value` as an int, refusing by `field`'s name a bool or a non-integer (int(2.5) is 2)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{field} must be an integer, got {value!r}")
-    if value < 1:
+    return int(value)
+
+
+def _at_least_one(field: str, value) -> None:
+    if _integer(field, value) < 1:
         raise ValidationError(f"{field} must be >= 1, got {value}")
 
 
@@ -56,13 +61,13 @@ METHOD_TABLE = {
     "windowed": Method(lambda k, p, q: windowed_manifold_score(k, p),
                        "window_size", "window", "windowed[{}]", _at_least_one),
     "keydiff": Method(lambda k, p, q: keydiff_score(k)),
-    "knorm": Method(lambda k, p, q: knorm_score(k)),
-    "l1": Method(lambda k, p, q: lp_score(k, 1)),
-    "linf": Method(lambda k, p, q: lp_score(k, np.inf)),
+    "knorm": Method(lambda k, p, q: _row_scores(k, _norms)),
+    "l1": Method(lambda k, p, q: _row_scores(k, _centered_lp(np.add.reduce))),
+    "linf": Method(lambda k, p, q: _row_scores(k, _centered_lp(np.maximum.reduce))),
     # {:g} for lambda only: a window of 10**6 would read 1e+06
-    "hybrid": Method(lambda k, p, q: hybrid_score(k, p),
+    "hybrid": Method(lambda k, p, q: _row_scores(k, _hybrid(p)),
                      "hybrid_lambda", "lambda", "hybrid[{:g}]", _unit_interval),
-    "normalized": Method(lambda k, p, q: normalized_manifold_score(k)),
+    "normalized": Method(lambda k, p, q: _row_scores(k, _normalized)),
     "obs_attention": Method(lambda k, p, q: obs_attention_score(k, q, p),
                             "obs_window", "obs_window", "obs_attention[{}]", _at_least_one),
 }
@@ -184,6 +189,7 @@ def windowed_manifold_score(t: KeyTensor, window_size: int) -> ScoreTensor:
 
 
 def _norms(x, buf, out, floor=0.0) -> None:
+    """Plain L2 magnitude of each key."""
     # the bits of np.linalg.norm(rows, axis=1), floored at `floor` (norms are >= +0.0)
     for rows, block in _row_blocks(x, buf):
         block *= block
@@ -213,19 +219,8 @@ def keydiff_score(t: KeyTensor) -> ScoreTensor:
     return _row_scores(t, _keydiff)
 
 
-def knorm_score(t: KeyTensor) -> ScoreTensor:
-    """Plain L2 magnitude of each key."""
-    return _row_scores(t, _norms)
-
-
-def lp_score(t: KeyTensor, p) -> ScoreTensor:
-    """L1 (p=1) or Linf (p=np.inf) distance from the per-(batch, head) centroid."""
-    if p == 1:
-        reduce = np.add.reduce
-    elif p == np.inf:
-        reduce = np.maximum.reduce
-    else:
-        raise ValidationError(f"p must be 1 or inf, got {p!r}")
+def _centered_lp(reduce):
+    """L1 (np.add) or Linf (np.maximum) distance from the per-(batch, head) centroid."""
 
     def deviation(x, buf, out):
         mu = _col_mean(x, buf)
@@ -233,18 +228,14 @@ def lp_score(t: KeyTensor, p) -> ScoreTensor:
             block -= mu
             reduce(np.abs(block, out=block), axis=1, out=out[rows])
 
-    return _row_scores(t, deviation)
+    return deviation
 
 
-def normalized_manifold_score(t: KeyTensor) -> ScoreTensor:
+def _normalized(x, buf, out) -> None:
     """L2 distance of unit-normalized keys from the mean of unit-normalized keys."""
-
-    def normalized(x, buf, out):
-        _norms(x, buf, out, NORM_EPS)
-        # each block reads its norms from `out` before its distances overwrite them
-        _centered_l2(x, buf, out, scale=out)
-
-    return _row_scores(t, normalized)
+    _norms(x, buf, out, NORM_EPS)
+    # each block reads its norms from `out` before its distances overwrite them
+    _centered_l2(x, buf, out, scale=out)
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
@@ -254,10 +245,9 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
     return (scores - lo) / span if span > 0 else np.zeros_like(scores)
 
 
-def hybrid_score(t: KeyTensor, hybrid_lambda: float) -> ScoreTensor:
+def _hybrid(hybrid_lambda: float):
     """Convex combination of min-max-normalized centroid-L2 and keydiff scores,
     both taken per (batch, head): min-max scaling is per row."""
-    _unit_interval("hybrid_lambda", hybrid_lambda)
 
     def mix(x, buf, out):
         diff = np.empty_like(out)
@@ -265,7 +255,7 @@ def hybrid_score(t: KeyTensor, hybrid_lambda: float) -> ScoreTensor:
         _centered_l2(x, buf, out)
         out[...] = hybrid_lambda * _minmax(out) + (1.0 - hybrid_lambda) * _minmax(diff)
 
-    return _row_scores(t, mix)
+    return mix
 
 
 def obs_attention_score(keys: KeyTensor, queries: KeyTensor, obs_window: int) -> ScoreTensor:

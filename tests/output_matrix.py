@@ -185,6 +185,8 @@ CASES = {
     "score-unknown-method": [*SCORE, "--method", "bogus"],
     "ttest-empty-csv": [*TTEST, "--a", "in/empty.csv"],
     "ttest-missing-column": [*TTEST, "--a", "in/two-columns.csv"],
+    "ttest-one-pair": [*TTEST, "--a", "in/one.csv", "--b", "in/one.csv"],
+    "ttest-nan": [*TTEST, "--a", "in/nan.csv"],
     **{f"gen-sidecar-{name}": [*GEN, "--from-sidecar", f"in/sidecar-{name}.json"]
        for name in ("root-list", "missing-needles", "params-list", "needles-text",
                     "needles-mismatch")},
@@ -229,6 +231,8 @@ def _write_inputs(root: Path) -> None:
     (inputs / "b.csv").write_text("score\n0.5\n2.0\n3.5\n3.0\n")
     (inputs / "empty.csv").write_text("# nothing but a comment\n")
     (inputs / "two-columns.csv").write_text("x,y\n1.0,2.0\n3.0,4.0\n")
+    (inputs / "one.csv").write_text("score\n1.0\n")
+    (inputs / "nan.csv").write_text("score\n1.0\nnan\n3.0\n4.25\n")
     radial = {"alpha": 100.0, "epsilon": 0.1, "n": 64, "d": 8, "seed": 0}
     files = {"lambda": {"lambda": 0.3}, "window": {"window": "x"}, "rho": {"rho": 2},
              "nested": {"config": "nowhere.json", "n": 64},

@@ -309,6 +309,52 @@ class TestWindowAblation:
             window_ablation(w_grid, n=128, d=8, k_clusters=0, rho=0.2)
 
 
+# each sweep at a size that runs in milliseconds, given its grid and any other arguments
+SWEEPS = {
+    "n_grid": lambda grid=(32,), **kw: separation_test(
+        k=2, d=8, sigma=1.0, epsilon=1.0, n_grid=list(grid), n_out=2, **kw),
+    "k_grid": lambda grid=(2,), **kw: dilution_sweep(list(grid), n=64, d=8, rho=0.5, **kw),
+    "w_grid": lambda grid=(16,), **kw: window_ablation(
+        list(grid), n=64, d=8, k_clusters=2, rho=0.5, **kw),
+}
+
+
+class TestSweepIntegers:
+    """Grid points, seeds and jobs are integers: int() would run 2.5 as 2 and True as 1."""
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("grid", list(SWEEPS))
+    def test_grid_points(self, grid, value):
+        with pytest.raises(ValidationError) as err:
+            SWEEPS[grid](grid=[value], seeds=[0])
+        assert str(err.value) == f"{grid} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("grid", list(SWEEPS))
+    def test_seeds(self, grid, value):
+        with pytest.raises(ValidationError) as err:
+            SWEEPS[grid](seeds=[0, value])
+        assert str(err.value) == f"seeds must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("jobs, message", [
+        (0, "jobs must be >= 1, got 0"),
+        (-3, "jobs must be >= 1, got -3"),
+        (1.5, "jobs must be an integer, got 1.5"),
+        (True, "jobs must be an integer, got True"),
+    ])
+    @pytest.mark.parametrize("grid", list(SWEEPS))
+    def test_jobs(self, grid, jobs, message):
+        with pytest.raises(ValidationError) as err:
+            SWEEPS[grid](seeds=[0], jobs=jobs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("grid", list(SWEEPS))
+    def test_numpy_integers_run_as_ints(self, grid):
+        plain = SWEEPS[grid](seeds=[0, 1], jobs=1)
+        numpy = SWEEPS[grid](seeds=np.arange(2), jobs=np.int64(1))
+        assert numpy.rows == plain.rows and numpy.metadata == plain.metadata
+
+
 class TestPairedTTest:
     def test_identical_samples(self):
         result = paired_ttest([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -354,6 +400,19 @@ class TestPairedTTest:
             paired_ttest([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValidationError):
             paired_ttest([1.0, np.nan], [1.0, 2.0])
+
+    # one check with pearson and spearman: a, then b, then their lengths
+    @pytest.mark.parametrize("a, b, message", [
+        ([1.0], [1.0], "a needs at least 2 entries, got 1"),
+        ([1.0, np.nan, 3.0, 4.25], [0.5, 2.0, 3.5, 3.0], "a contains NaN or Inf"),
+        ([1.0, 2.0], [1.0, np.inf], "b contains NaN or Inf"),
+        ([1.0], [1.0, 2.0, 3.0], "a needs at least 2 entries, got 1"),
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "length mismatch: 2 vs 3"),
+    ])
+    def test_messages(self, a, b, message):
+        with pytest.raises(ValidationError) as err:
+            paired_ttest(a, b)
+        assert str(err.value) == message
 
 
 class TestCompareMethods:

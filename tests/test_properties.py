@@ -12,14 +12,11 @@ from kvgeom import (
     Report,
     ScoreTensor,
     ValidationError,
+    ScorerSpec,
     compress_cache,
-    hybrid_score,
-    keydiff_score,
-    knorm_score,
+    compute_scores,
     load_kvt,
-    lp_score,
     manifold_score,
-    normalized_manifold_score,
     retention_from_scores,
     save_kvt,
     selection_overlap,
@@ -260,29 +257,29 @@ def _whole_tensor_windowed(data: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-# scorer -> the old expression on the whole float64 tensor
+# scorer spec -> the old expression on the whole float64 tensor
 REPLACED_EXPRESSIONS = {
-    manifold_score: _centered_l2,
-    keydiff_score: _keydiff,
-    knorm_score: lambda d: np.linalg.norm(d, axis=3),
-    (lambda t: lp_score(t, 1)): lambda d: _deviation(d).sum(axis=3),
-    (lambda t: lp_score(t, np.inf)): lambda d: _deviation(d).max(axis=3),
-    normalized_manifold_score: lambda d: _centered_l2(d / _guarded_norms(d)),
+    ScorerSpec("manifold"): _centered_l2,
+    ScorerSpec("keydiff"): _keydiff,
+    ScorerSpec("knorm"): lambda d: np.linalg.norm(d, axis=3),
+    ScorerSpec("l1"): lambda d: _deviation(d).sum(axis=3),
+    ScorerSpec("linf"): lambda d: _deviation(d).max(axis=3),
+    ScorerSpec("normalized"): lambda d: _centered_l2(d / _guarded_norms(d)),
 }
 
 
 def _assert_kernels_equal_replaced_expressions(data: np.ndarray, window: int) -> None:
     t = KeyTensor(data)
     whole = t.data.astype(np.float64)
-    for scorer, expression in REPLACED_EXPRESSIONS.items():
-        assert np.array_equal(scorer(t).data, expression(whole.copy()))
+    for spec, expression in REPLACED_EXPRESSIONS.items():
+        assert np.array_equal(compute_scores(spec, t).data, expression(whole.copy()))
     assert np.array_equal(windowed_manifold_score(t, window).data,
                           _whole_tensor_windowed(t.data, window))
     # hybrid, one slab pass: the two whole-tensor scorers, each min-max scaled, mixed
     for lam in (0.0, 0.3, 1.0):
         two_pass = (lam * _minmax(_centered_l2(whole.copy()))
                     + (1.0 - lam) * _minmax(_keydiff(whole.copy())))
-        assert np.array_equal(hybrid_score(t, lam).data, two_pass)
+        assert np.array_equal(compute_scores(ScorerSpec("hybrid", lam), t).data, two_pass)
     # C04: a window covering the sequence is global scoring, bit for bit
     assert np.array_equal(windowed_manifold_score(t, t.seq_len).data, manifold_score(t).data)
 

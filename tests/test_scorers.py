@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,17 +12,14 @@ from kvgeom import (
     ValidationError,
     centroid,
     compute_scores,
-    hybrid_score,
     keydiff_score,
-    knorm_score,
     l2_from_anchor,
-    lp_score,
     manifold_score,
-    normalized_manifold_score,
     obs_attention_score,
     windowed_manifold_score,
 )
 
+import kvgeom
 from kvgeom import scorers
 from kvgeom.scorers import METHOD_TABLE
 
@@ -98,6 +96,7 @@ class TestMethodTable:
         ({"method": "windowed", "param": 0}, "window_size must be >= 1, got 0"),
         ({"method": "hybrid", "param": -0.5}, "hybrid_lambda must be in [0, 1], got -0.5"),
         ({"method": "obs_attention", "param": 0}, "obs_window must be >= 1, got 0"),
+        ({"method": "hybrid", "param": 2.0}, "hybrid_lambda must be in [0, 1], got 2.0"),
     ])
     def test_spec_messages(self, kwargs, message):
         with pytest.raises(ValidationError) as raised:
@@ -106,7 +105,6 @@ class TestMethodTable:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: windowed_manifold_score(random_tensor(0), 0), "window_size must be >= 1, got 0"),
-        (lambda: hybrid_score(random_tensor(0), 2.0), "hybrid_lambda must be in [0, 1], got 2.0"),
         (lambda: obs_attention_score(random_tensor(0), random_tensor(1), 0),
          "obs_window must be >= 1, got 0"),
     ])
@@ -305,66 +303,63 @@ class TestKeydiffScore:
         assert after[5] > before[5] + 1.0
 
 
+KNORM, L1, LINF, NORMALIZED = (ScorerSpec(m) for m in ("knorm", "l1", "linf", "normalized"))
+
+
 class TestSimpleScores:
     def test_knorm_cases(self):
         t = kt([[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]])
-        assert np.array_equal(knorm_score(t).data[0, 0], [0.0, 1.0, 5.0])
+        assert np.array_equal(compute_scores(KNORM, t).data[0, 0], [0.0, 1.0, 5.0])
 
     def test_lp_at_centroid(self):
         t = kt(np.tile([1.0, -2.0], (3, 1)))
-        assert np.array_equal(lp_score(t, 1).data, np.zeros((1, 1, 3)))
-        assert np.array_equal(lp_score(t, np.inf).data, np.zeros((1, 1, 3)))
+        assert np.array_equal(compute_scores(L1, t).data, np.zeros((1, 1, 3)))
+        assert np.array_equal(compute_scores(LINF, t).data, np.zeros((1, 1, 3)))
 
     def test_lp_hand_case(self):
         # deviations (+-3, -+4) from centroid (0, 0): L1 = 7, Linf = 4
         t = kt([[3.0, -4.0], [-3.0, 4.0]])
-        assert np.array_equal(lp_score(t, 1).data[0, 0], [7.0, 7.0])
-        assert np.array_equal(lp_score(t, np.inf).data[0, 0], [4.0, 4.0])
-
-    def test_lp_rejects_other_p(self):
-        # only the two values compute_scores passes, 1 and np.inf
-        for p in (2, "inf", "1", 0.5, -np.inf, None):
-            with pytest.raises(ValidationError, match="p must be 1 or inf"):
-                lp_score(random_tensor(0), p)
+        assert np.array_equal(compute_scores(L1, t).data[0, 0], [7.0, 7.0])
+        assert np.array_equal(compute_scores(LINF, t).data[0, 0], [4.0, 4.0])
 
     def test_norm_inequality_chain(self):
         for seed in range(20):
             t = random_tensor(seed, seq=24, dim=7)
-            l1 = lp_score(t, 1).data
-            linf = lp_score(t, np.inf).data
+            l1 = compute_scores(L1, t).data
+            linf = compute_scores(LINF, t).data
             l2 = manifold_score(t).data
             assert (linf <= l2 + 1e-12).all()
             assert (l2 <= l1 + 1e-12).all()
 
     def test_normalized_parallel_keys(self):
         t = kt([[1.0, 0.0], [5.0, 0.0], [0.25, 0.0]])
-        assert normalized_manifold_score(t).data == pytest.approx(
+        assert compute_scores(NORMALIZED, t).data == pytest.approx(
             np.zeros((1, 1, 3)), abs=1e-12
         )
 
     def test_normalized_hand_case(self):
         # unit keys e1, e2: mean (0.5, 0.5); both distances sqrt(0.5)
         t = kt([[1.0, 0.0], [0.0, 1.0]])
-        assert normalized_manifold_score(t).data[0, 0] == pytest.approx(
+        assert compute_scores(NORMALIZED, t).data[0, 0] == pytest.approx(
             [math.sqrt(0.5)] * 2, abs=1e-12
         )
 
     def test_normalized_bounded_by_two(self):
         for seed in range(5):
-            s = normalized_manifold_score(random_tensor(seed, seq=40)).data
+            s = compute_scores(NORMALIZED, random_tensor(seed, seq=40)).data
             assert (s <= 2.0 + 1e-12).all()
 
 
 class TestHybridScore:
     def test_lambda_one_matches_manifold_ranking(self):
         t = random_tensor(11, seq=20)
-        h = hybrid_score(t, 1.0).data[0, 0]
+        h = compute_scores(ScorerSpec("hybrid", 1.0), t).data[0, 0]
         m = manifold_score(t).data[0, 0]
         assert np.array_equal(np.argsort(-h, kind="stable"), np.argsort(-m, kind="stable"))
 
     def test_lambda_zero_matches_keydiff_ranking(self):
         t = random_tensor(12, seq=20)
-        h = hybrid_score(t, 0.0).data[0, 0]
+        h = compute_scores(ScorerSpec("hybrid", 0.0), t).data[0, 0]
         k = keydiff_score(t).data[0, 0]
         assert np.array_equal(np.argsort(-h, kind="stable"), np.argsort(-k, kind="stable"))
 
@@ -379,15 +374,17 @@ class TestHybridScore:
         man = list(manifold_score(t).data[0, 0])
         kd = list(keydiff_score(t).data[0, 0])
         oracle = [0.5 * a + 0.5 * b for a, b in zip(minmax(man), minmax(kd))]
-        assert hybrid_score(t, 0.5).data[0, 0] == pytest.approx(oracle, abs=1e-12)
+        h = compute_scores(ScorerSpec("hybrid", 0.5), t).data[0, 0]
+        assert h == pytest.approx(oracle, abs=1e-12)
 
     def test_constant_scores_map_to_zero(self):
         t = kt(np.tile([1.0, 1.0], (4, 1)))
-        assert np.array_equal(hybrid_score(t, 0.7).data, np.zeros((1, 1, 4)))
+        h = compute_scores(ScorerSpec("hybrid", 0.7), t).data
+        assert np.array_equal(h, np.zeros((1, 1, 4)))
 
     def test_lambda_domain(self):
         with pytest.raises(ValidationError):
-            hybrid_score(random_tensor(0), 1.5)
+            compute_scores(ScorerSpec("hybrid", 1.5), random_tensor(0))
 
 
 class TestObsAttentionScore:
@@ -519,3 +516,25 @@ class TestInputsUntouched:
         assert np.array_equal(caller, snapshot) and caller.flags.writeable
         assert np.array_equal(t.data, snapshot) and not t.data.flags.writeable
         assert np.array_equal(queries.data, q_snapshot)
+
+
+# the package's public names: removing or adding one is a change to this list
+PUBLIC_NAMES = [
+    "AttentionOutput", "CompressedCache", "DEFAULT_SEEDS", "DimensionReport", "EstimationError",
+    "KeyTensor", "METHODS", "Report", "RetentionResult", "RetentionSet", "SCENARIO_KINDS",
+    "Scenario", "ScoreTensor", "ScorerSpec", "TTestResult", "ValidationError",
+    "allocate_head_budgets", "attention", "attention_weights", "budget", "centroid",
+    "compare_methods", "compress_cache", "compute_scores", "config_hash", "dilution_sweep",
+    "estimate_dimensions", "gen_cluster_mixture", "gen_collision_scenario", "gen_queries",
+    "gen_radial_failure", "gen_subspace_scenario", "keydiff_score", "l2_from_anchor", "load_kvt",
+    "load_sidecar", "manifold_score", "obs_attention_score", "paired_ttest", "pca_effective_dim",
+    "pearson", "regenerate", "retention_from_scores", "retention_rate", "run_retention",
+    "save_kvt", "save_sidecar", "selection_overlap", "separation_test", "spearman",
+    "topk_select", "twonn_dim", "window_ablation", "windowed_manifold_score",
+]
+
+
+def test_kvgeom_public_names():
+    names = sorted(n for n, v in vars(kvgeom).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == PUBLIC_NAMES
