@@ -14,7 +14,8 @@ file's keys are exactly those rows (--config is the parser's own flag). Two
 rules hand the options on: an option's config key is the library parameter
 it sets (a sweep is passed each option whose key names one of its
 parameters), and a report prints what reached its rows: its options but --out
-and --format, or (score, compare, sweeps) the inputs, labels and arguments used.
+and --format, or (score, compare, ttest, sweeps) the inputs, labels and
+arguments used (a ttest report: each file and the column read from it).
 """
 
 from __future__ import annotations
@@ -440,8 +441,9 @@ def _cmd_compare(opts) -> int:
     return _wrote(opts, report)
 
 
-def _read_csv_column(path, col: str) -> list:
-    def column(text: str) -> list:
+def _read_csv_column(path, col: str) -> tuple:
+    """(the values, the name) of column `col` of a CSV file, or of its only column."""
+    def column(text: str) -> tuple:
         body = [line for line in io.StringIO(text) if not line.startswith("#")]
         reader = csv.DictReader(body, restval="")
         if reader.fieldnames is None:
@@ -451,14 +453,13 @@ def _read_csv_column(path, col: str) -> list:
         )
         if name is None:
             raise ValidationError(f"column {col!r} not found in {reader.fieldnames}")
-        return [float(row[name]) for row in reader]
+        return [float(row[name]) for row in reader], name
 
     return parse_file(path, column, "CSV")
 
 
 def _cmd_ttest(opts) -> int:
-    a = _read_csv_column(opts["a"], opts["col"])
-    b = _read_csv_column(opts["b"], opts["col"])
+    (a, a_col), (b, b_col) = (_read_csv_column(opts[f], opts["col"]) for f in ("a", "b"))
     result = paired_ttest(a, b)
     print(
         f"ttest: n={result.n} mean_diff={result.mean_diff:.6g} "
@@ -467,7 +468,9 @@ def _cmd_ttest(opts) -> int:
     )
     if opts.get("out"):
         columns = ["n", "mean_diff", "std_err", "t_stat", "p_value", "df", "degenerate"]
-        _write_report(opts, "ttest", columns, [{c: getattr(result, c) for c in columns}])
+        metadata = {"a": opts["a"], "a_col": a_col, "b": opts["b"], "b_col": b_col}
+        Report("ttest", columns, [{c: getattr(result, c) for c in columns}],
+               metadata).write(opts["out"], opts["format"])
         print(f"ttest: wrote {opts['out']}")
     return 0
 

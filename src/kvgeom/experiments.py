@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import ValidationError
 from .eviction import budget, retention_from_scores
 from .report import Report
 from .scorers import ScorerSpec, _at_least_one, _integer, compute_scores
-from .synth import Scenario, gen_cluster_mixture, gen_queries, regenerate
+from .synth import Scenario, gen_queries, regenerate
 from .tensor import KeyTensor, _each_slab
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -87,13 +88,6 @@ def run_retention(scenario: Scenario, spec: ScorerSpec, rho: float) -> Retention
     return RetentionResult(hits, total, hits / total)
 
 
-def _mixture_rates(specs, rho: float, **mixture) -> tuple:
-    """(retention rate of each of `specs`, in order, at `rho`; scenario source)
-    on one cluster mixture, generated once from the `mixture` arguments."""
-    scenario = gen_cluster_mixture(**mixture)
-    return [run_retention(scenario, spec, rho).retention_rate for spec in specs], scenario.source
-
-
 def _map_jobs(jobs: int, fn, args_list):
     """[fn(*args) for args in args_list], on up to `jobs` workers of `_each_slab`."""
     rows = [None] * len(args_list)
@@ -102,15 +96,16 @@ def _map_jobs(jobs: int, fn, args_list):
     return rows
 
 
-def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> Report:
-    """Run `job(point, seed)` for every grid point and seed and group the rows.
-
-    Each job returns its run row and its scenario's `source`. Each grid
-    point's run rows are followed by its mean row: the `means` columns
-    averaged over seeds and the `carried` columns of the first run. The
-    report's columns are row, `column`, `carried`, seed, `means`; its metadata
-    is what reached its rows: the first job's scenario source but `column` and
-    seed, then `params` (the grid, budget and scorer setting) and the seeds.
+def _sweep(name, column, grid, seeds, jobs, kind, args, run_row, means, params,
+           carried=()) -> Report:
+    """Build `regenerate(kind, {**args, column: point, "seed": seed})` (which reads
+    only its generator's arguments) for every grid point and seed, read its run
+    row off it with `run_row(point, scenario)`, and group the rows: each point's
+    run rows, then its mean row (the `means` averaged over seeds, the `carried`
+    columns of the first run). The columns are row, `column`, `carried`, seed,
+    `means`; the metadata is what reached the rows: the first scenario's source
+    but `column` and seed, `params` (the grid, budget and scorer setting) and
+    the seeds.
     """
     seeds = [_integer("seeds", s) for s in seeds]
     if not seeds:  # a grid point's mean row needs at least one run
@@ -119,8 +114,15 @@ def _sweep(name, column, grid, seeds, jobs, job, means, params, carried=()) -> R
     for i, point in enumerate(grid):  # a repeated point's groups would share rows
         if point in grid[:i]:
             raise ValidationError(f"{column} grid lists {point} twice")
-    rows, sources = zip(*_map_jobs(jobs, job, [(point, seed) for point in grid for seed in seeds]))
-    source = {k: v for k, v in sources[0].items() if k not in (column, "seed")}
+    source = {}
+
+    def job(point, seed: int) -> dict:
+        scenario = regenerate(kind, {**args, column: point, "seed": seed})
+        if (point, seed) == (grid[0], seeds[0]):  # the other sources differ in column and seed
+            source.update((k, v) for k, v in scenario.source.items() if k not in (column, "seed"))
+        return {"row": "run", column: point, "seed": seed, **run_row(point, scenario)}
+
+    rows = _map_jobs(jobs, job, [(point, seed) for point in grid for seed in seeds])
     out = []
     for i, point in enumerate(grid):
         chunk = rows[i * len(seeds) : (i + 1) * len(seeds)]
@@ -168,15 +170,14 @@ def separation_test(
     args = {"k": k, "d": d, "sigma": sigma, "n_out": n_out, "epsilon": epsilon, "alpha": alpha,
             "strict_separation": True, "center_scale": 10.0}  # each kind's generator reads its own
 
-    def job(n: int, seed: int) -> tuple:
-        scenario = regenerate(kind, {**args, "n": n, "seed": seed})
+    def run_row(n: int, scenario: Scenario) -> dict:
         rate = retention_rate(_score_and_keep(scenario, spec, n_out)[1], scenario.needles)
-        return ({"row": "run", "n": n, "seed": seed, "retention": rate,
-                 "success": rate == 1.0}, scenario.source)
+        return {"retention": rate, "success": rate == 1.0}
 
     params = {"n_grid": n_grid, "n_out": n_out, "method": spec.label()}
     # the mean of the success flags is the fraction of seeds with perfect retention
-    return _sweep("separation", "n", n_grid, seeds, jobs, job, ("retention", "success"), params)
+    return _sweep("separation", "n", n_grid, seeds, jobs, kind, args, run_row,
+                  ("retention", "success"), params)
 
 
 def dilution_sweep(
@@ -200,19 +201,19 @@ def dilution_sweep(
     if not k_grid or any(k < 1 for k in k_grid):
         raise ValidationError("k_grid must be non-empty positive cluster counts")
 
-    def job(k_clusters: int, seed: int) -> tuple:
+    mixture = {"n": n, "d": d, "spread": spread, "separation": separation, "shuffle": False}
+
+    def run_row(k_clusters: int, scenario: Scenario) -> dict:
         w = window if window is not None else max(1, n // k_clusters)
-        (g, wr, kd), source = _mixture_rates(
-            [ScorerSpec("manifold"), ScorerSpec("windowed", w), ScorerSpec("keydiff")], rho,
-            n=n, d=d, k_clusters=k_clusters, spread=spread, separation=separation, seed=seed)
-        return ({"row": "run", "k_clusters": k_clusters, "window": w, "seed": seed,
-                 "global_retention": g, "windowed_retention": wr,
-                 "keydiff_retention": kd, "gap": wr - g}, source)
+        specs = [ScorerSpec("manifold"), ScorerSpec("windowed", w), ScorerSpec("keydiff")]
+        g, wr, kd = [run_retention(scenario, spec, rho).retention_rate for spec in specs]
+        return {"window": w, "global_retention": g, "windowed_retention": wr,
+                "keydiff_retention": kd, "gap": wr - g}
 
     params = {"k_grid": k_grid, "rho": rho, "window": window}
     means = ("global_retention", "windowed_retention", "keydiff_retention", "gap")
-    return _sweep("dilution", "k_clusters", k_grid, seeds, jobs, job, means, params,
-                  carried=("window",))
+    return _sweep("dilution", "k_clusters", k_grid, seeds, jobs, "clusters", mixture, run_row,
+                  means, params, carried=("window",))
 
 
 def window_ablation(
@@ -234,8 +235,8 @@ def window_ablation(
     resolved toward the larger window, which costs fewer centroid
     computations) is flagged in the report metadata.
     """
-    if k_clusters < 1:
-        raise ValidationError(f"k_clusters must be >= 1, got {k_clusters}")
+    _at_least_one("n", n)  # named here, before the default grid derives from them
+    _at_least_one("k_clusters", k_clusters)
     if w_grid is None:
         extent = max(1, n // k_clusters)
         w_grid = sorted({max(1, extent // 2), extent, 2 * extent, 4 * extent, n})
@@ -243,16 +244,18 @@ def window_ablation(
     if not w_grid or any(w < 1 for w in w_grid):
         raise ValidationError("w_grid must be non-empty positive window sizes")
 
-    def job(w: int, seed: int) -> tuple:
-        (wr, g), source = _mixture_rates(
-            [ScorerSpec("windowed", w), ScorerSpec("manifold")], rho,
-            n=n, d=d, k_clusters=k_clusters, spread=spread, separation=separation, seed=seed)
-        return ({"row": "run", "window": w, "seed": seed,
-                 "windowed_retention": wr, "global_retention": g}, source)
+    mixture = {"n": n, "d": d, "k_clusters": k_clusters, "spread": spread,
+               "separation": separation, "shuffle": False}
+
+    def run_row(w: int, scenario: Scenario) -> dict:
+        specs = [ScorerSpec("windowed", w), ScorerSpec("manifold")]
+        wr, g = [run_retention(scenario, spec, rho).retention_rate for spec in specs]
+        return {"windowed_retention": wr, "global_retention": g}
 
     params = {"w_grid": w_grid, "rho": rho}
     means = ("windowed_retention", "global_retention")
-    report = _sweep("ablation", "window", w_grid, seeds, jobs, job, means, params)
+    report = _sweep("ablation", "window", w_grid, seeds, jobs, "clusters", mixture, run_row,
+                    means, params)
     mean_of = {r["window"]: r["windowed_retention"] for r in report.rows if r["row"] == "mean"}
     report.metadata["best_window"] = max(sorted(mean_of), key=lambda w: (mean_of[w], w))
     return report
@@ -297,16 +300,13 @@ def compare_methods(
     scored = [(spec.label(), *_score_and_keep(scenario, spec, m, queries)) for spec in specs]
 
     rows = []
-    for i in range(len(scored)):
-        for j in range(i + 1, len(scored)):
-            la, sa, ra = scored[i]
-            lb, sb, rb = scored[j]
-            rows.append({
-                "row": "pair", "method_a": la, "method_b": lb,
-                "pearson": pearson(sa.data.ravel(), sb.data.ravel()),
-                "spearman": spearman(sa.data.ravel(), sb.data.ravel()),
-                "overlap": selection_overlap(ra, rb),
-            })
+    for (la, sa, ra), (lb, sb, rb) in combinations(scored, 2):
+        rows.append({
+            "row": "pair", "method_a": la, "method_b": lb,
+            "pearson": pearson(sa.data.ravel(), sb.data.ravel()),
+            "spearman": spearman(sa.data.ravel(), sb.data.ravel()),
+            "overlap": selection_overlap(ra, rb),
+        })
     if scenario.needles:
         for label, _, retained in scored:
             rows.append({

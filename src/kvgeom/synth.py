@@ -362,10 +362,9 @@ SCENARIO_KINDS = tuple(_GENERATORS)
 
 
 def regenerate(kind: str, params: dict) -> Scenario:
-    """Rebuild a scenario from its kind and echoed input params.
-
-    Each argument's value must have the JSON type its generator annotates.
-    """
+    """Rebuild a scenario from its kind and echoed input params: each argument
+    must have the JSON type its generator annotates, and the generator called is
+    the one bound to its name in this module at call time (a tracer may wrap it)."""
     if not isinstance(kind, str) or kind not in _GENERATORS:
         raise ValidationError(f"unknown scenario kind {kind!r}")
     fn = _GENERATORS[kind]
@@ -374,7 +373,7 @@ def regenerate(kind: str, params: dict) -> Scenario:
     missing = [a for a in arg_types if a not in params]
     if missing:
         raise ValidationError(f"scenario params missing {missing} for kind {kind!r}")
-    return fn(**{
+    return globals()[fn.__name__](**{
         a: json_value(t, params[a], f"scenario param {a!r}") for a, t in arg_types.items()
     })
 

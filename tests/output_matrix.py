@@ -183,6 +183,8 @@ CASES = {
        for name in ("root-list", "unknown-key", "malformed")},
     "score-missing-out": ["score", "--input", "in/k.kvt", "--method", "manifold"],
     "score-unknown-method": [*SCORE, "--method", "bogus"],
+    # each file's only column is read in place of --col: the report equals ttest-csv's
+    "ttest-col-fallback": [*TTEST, "--col", "foo", "--format", "csv", "--out", "{out}/t.csv"],
     "ttest-empty-csv": [*TTEST, "--a", "in/empty.csv"],
     "ttest-missing-column": [*TTEST, "--a", "in/two-columns.csv"],
     "ttest-one-pair": [*TTEST, "--a", "in/one.csv", "--b", "in/one.csv"],

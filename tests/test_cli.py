@@ -985,6 +985,21 @@ class TestTtestCommand:
         obj = json.loads(out.read_text())
         assert obj["rows"][0]["n"] == 3
 
+    def test_unused_col_leaves_the_report_unchanged(self, capsys, tmp_path):
+        # each file's only column is read whatever --col names; the report prints that column
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("x\n1.0\n2.0\n3.5\n")
+        b.write_text("x\n0.0\n2.5\n3.0\n")
+        reports = []
+        for col in ("foo", "bar"):
+            out = tmp_path / f"{col}.csv"
+            code, _, _ = run_cli(capsys, "ttest", "--a", str(a), "--b", str(b), "--col", col,
+                                 "--out", str(out))
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b"# a_col=x\n" in reports[0] and b"# b_col=x\n" in reports[0]
+
     def test_missing_column(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("x,y\n1,2\n")

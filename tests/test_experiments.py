@@ -26,7 +26,7 @@ from kvgeom import (
     window_ablation,
 )
 
-from kvgeom import experiments, tensor
+from kvgeom import compute_scores, experiments, regenerate, synth, tensor
 from kvgeom.experiments import _count_needle_hits, _map_jobs
 
 from conftest import retention, rng
@@ -181,6 +181,41 @@ class TestSweepProvenance:
             assert config_hash(sweep(**{**base, arg: value}).metadata) != first, arg
 
 
+# sweep -> the scorer spec of each retention column of a run row
+RESCORED = {
+    "dilution": lambda row: {"global_retention": ScorerSpec("manifold"),
+                             "windowed_retention": ScorerSpec("windowed", row["window"]),
+                             "keydiff_retention": ScorerSpec("keydiff")},
+    "ablation": lambda row: {"windowed_retention": ScorerSpec("windowed", row["window"]),
+                             "global_retention": ScorerSpec("manifold")},
+    "separation": lambda row: {"retention": ScorerSpec("manifold")},
+}
+
+
+class TestSweepRebuildsItsRuns:
+    """A report's metadata, given a run row's grid point and seed, regenerates the run."""
+
+    @pytest.mark.parametrize("name", SWEEP_CALLS)
+    def test_metadata_and_run_row_regenerate_and_rescore_the_run(self, monkeypatch, name):
+        sweep, base, _ = SWEEP_CALLS[name]
+        built = []  # every scenario the sweep generates, in job order (one worker)
+        for fn in synth._GENERATORS.values():
+            monkeypatch.setattr(synth, fn.__name__,
+                                lambda fn=fn, **args: built.append(fn(**args)) or built[-1])
+        report = sweep(**base)
+        monkeypatch.undo()
+        meta, column = report.metadata, report.group_by
+        runs = [r for r in report.rows if r["row"] == "run"]
+        assert len(built) == len(runs)
+        for row, job in zip(runs, built):
+            scenario = regenerate(meta["kind"], {**meta, column: row[column], "seed": row["seed"]})
+            assert scenario.keys == job.keys and scenario.needles == job.needles
+            m = budget(scenario.seq_len, meta["rho"]) if "rho" in meta else meta["n_out"]
+            for col, spec in RESCORED[name.split("-")[0]](row).items():
+                kept = retention_from_scores(compute_scores(spec, scenario.keys), m)
+                assert retention_rate(kept, scenario.needles) == row[col], col
+
+
 class TestMapJobs:
     """Sweep jobs on `jobs` workers of 8 usable CPUs, so each job count starts its threads."""
 
@@ -307,6 +342,38 @@ class TestWindowAblation:
     def test_zero_clusters_refused_before_any_division(self, w_grid):
         with pytest.raises(ValidationError, match="k_clusters must be >= 1, got 0"):
             window_ablation(w_grid, n=128, d=8, k_clusters=0, rho=0.2)
+
+
+class TestSweepSizes:
+    """A sweep names a wrong scalar size, never a grid or window derived from it; the
+    scenario arguments are typed as a sidecar's."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: window_ablation(None, n=64, d=8, k_clusters=2.5, rho=0.5, seeds=[0]),
+                     "k_clusters must be an integer, got 2.5", id="ablation-default-grid-k"),
+        pytest.param(lambda: window_ablation(None, n=64.5, d=8, k_clusters=2, rho=0.5, seeds=[0]),
+                     "n must be an integer, got 64.5", id="ablation-default-grid-n"),
+        pytest.param(lambda: window_ablation([16], n=64, d=8, k_clusters=2.5, rho=0.5, seeds=[0]),
+                     "k_clusters must be an integer, got 2.5", id="ablation-k"),
+        pytest.param(lambda: window_ablation([16], n=64, d=8.0, k_clusters=2, rho=0.5, seeds=[0]),
+                     "scenario param 'd': expected an integer, got 8.0", id="ablation-d"),
+        pytest.param(lambda: dilution_sweep([2], n=64.5, d=8, rho=0.5, seeds=[0]),
+                     "scenario param 'n': expected an integer, got 64.5", id="dilution-n"),
+        pytest.param(lambda: dilution_sweep([2], n=64, d=8.0, rho=0.5, seeds=[0]),
+                     "scenario param 'd': expected an integer, got 8.0", id="dilution-d"),
+        pytest.param(lambda: dilution_sweep([2], n=np.int64(64), d=8, rho=0.5, seeds=[0]),
+                     "scenario param 'n': expected an integer, got np.int64(64)",
+                     id="dilution-numpy-n"),
+    ])
+    def test_named(self, call, message):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_integer_spread_echoed_as_float(self):
+        for report in (dilution_sweep([2], n=64, d=8, rho=0.5, spread=1, seeds=[0]),
+                       window_ablation([16], n=64, d=8, k_clusters=2, rho=0.5, spread=1, seeds=[0])):
+            assert type(report.metadata["spread"]) is float
 
 
 # each sweep at a size that runs in milliseconds, given its grid and any other arguments

@@ -85,7 +85,7 @@ class TestMethodTable:
         assert METHODS == tuple(METHOD_TABLE)
 
     @pytest.mark.parametrize("spec, label", SPEC_STRINGS, ids=lambda v: str(v))
-    def test_label_and_to_dict(self, spec, label):
+    def test_label(self, spec, label):
         assert spec.label() == label
 
     @pytest.mark.parametrize("kwargs, message", [

@@ -403,6 +403,14 @@ class TestSidecar:
         assert again.keys == scenario.keys and again.needles == scenario.needles
         assert again.params == scenario.params
 
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_regenerate_calls_the_generator_bound_at_call_time(self, monkeypatch, kind):
+        fn, calls = synth._GENERATORS[kind], []  # a tracer rebinds the name, not the table
+        monkeypatch.setattr(synth, fn.__name__, lambda **a: calls.append(a) or fn(**a))
+        scenario = fn(**GENERATOR_CALLS[kind][0])
+        assert regenerate(kind, scenario.params).keys == scenario.keys
+        assert len(calls) == 1
+
     def test_round_trip_every_kind(self, tmp_path):
         for i, scenario in enumerate(make_each_kind(9)):
             path = tmp_path / f"s{i}.json"
